@@ -12,9 +12,12 @@ use std::sync::Arc;
 
 use hetrta_core::federated::{federated_partition, AnalysisKind};
 use hetrta_core::{r_het, r_hom_parts};
-use hetrta_exact::bounds::root_bound;
-use hetrta_exact::list_schedule_cp_first;
-use hetrta_exact::{solve_with, SolverConfig, SolverWorkspace, MAX_NODES_SUPPORTED};
+use hetrta_dag::algo::CriticalPath;
+use hetrta_exact::bounds::root_bound_with_path;
+use hetrta_exact::{
+    list_schedule_with_path, solve_with, ExactError, SolverConfig, SolverWorkspace,
+    MAX_NODES_SUPPORTED,
+};
 use hetrta_sched::model::{AnalysisModel, DeviceModel};
 use hetrta_sched::{gedf_test, gfp_test};
 use hetrta_sim::policy::{BreadthFirst, RandomTieBreak};
@@ -594,13 +597,15 @@ impl Analysis for AnytimeExactAnalysis {
             }));
         }
         // Past the solver's cap: never refuse. Root bound below, CP-first
-        // list schedule above — both linear-ish in the graph size, so the
-        // bracket stays available at n = 10⁵–10⁶. The list schedule runs
-        // first: it rejects m = 0 with a typed error where the bound
-        // would panic.
-        let (upper, _) = list_schedule_cp_first(dag, Some(task.offloaded()), m)
-            .map_err(|e| fail(format!("list schedule failed: {e}")))?;
-        let lower = root_bound(dag, Some(task.offloaded()), m);
+        // list schedule above — both near-linear in the graph size and
+        // sharing one critical-path pass, so the bracket stays available
+        // at n = 10⁵–10⁶. The list schedule runs before the bound: it
+        // rejects m = 0 with a typed error where the bound would panic.
+        let list_failed = |e: ExactError| fail(format!("list schedule failed: {e}"));
+        let cp = CriticalPath::try_of(dag).map_err(|e| list_failed(e.into()))?;
+        let (upper, _) =
+            list_schedule_with_path(dag, &cp, Some(task.offloaded()), m).map_err(list_failed)?;
+        let lower = root_bound_with_path(dag, &cp, Some(task.offloaded()), m);
         Ok(AnalysisOutcome::Anytime(AnytimeOutcome {
             lower: lower.get(),
             upper: upper.get(),

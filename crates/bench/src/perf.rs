@@ -17,12 +17,12 @@ use hetrta_dag::algo::{
 };
 use hetrta_dag::HeteroDagTask;
 use hetrta_engine::{AnalysisSelection, Engine, EngineOutput, GeneratorPreset, SweepSpec};
-use hetrta_exact::{solve, SolverConfig};
+use hetrta_exact::{list_schedule_cp_first, solve, SolverConfig};
 use hetrta_gen::layered::{generate_layered, LayeredParams};
 use hetrta_gen::offload::{make_hetero_task, CoffSizing, OffloadSelection};
 use hetrta_gen::{generate_nfj, NfjParams};
-use hetrta_sim::policy::BreadthFirst;
-use hetrta_sim::{simulate, Platform};
+use hetrta_sim::policy::{BreadthFirst, RandomTieBreak};
+use hetrta_sim::{simulate, simulate_makespan, Platform, SimWorkspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -296,6 +296,48 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         .expect("simulates")
         .makespan()
     }));
+    // The kernels behind the 10⁶ tier's `sampled` and `anytime` analyses
+    // at n≈10⁵: one seeded random-tie-break makespan simulation on a warm
+    // workspace, and the CP-first list schedule (its critical path
+    // included). One op is one whole graph, so these and the large-graph
+    // kernels below get a larger budget than the microsecond kernels.
+    let large_budget = budget.max(Duration::from_millis(120));
+    let task_100k = {
+        let mut rng = StdRng::seed_from_u64(0xBE9C_0100);
+        let dag = generate_nfj(&NfjParams::large_graphs(100_000), &mut rng)
+            .expect("large-graph sample accepted");
+        make_hetero_task(
+            dag,
+            OffloadSelection::AnyInterior,
+            CoffSizing::VolumeFraction(0.2),
+            &mut rng,
+        )
+        .expect("offload assignment succeeds")
+    };
+    let mut sim_ws = SimWorkspace::new();
+    kernels.push(time_kernel(
+        "sim/random_tie_break_100k",
+        large_budget,
+        |i| {
+            simulate_makespan(
+                &mut sim_ws,
+                task_100k.dag(),
+                Some(task_100k.offloaded()),
+                Platform::with_accelerator(8),
+                &mut RandomTieBreak::new(i),
+            )
+            .expect("simulates")
+        },
+    ));
+    kernels.push(time_kernel(
+        "exact/list_schedule_100k",
+        large_budget,
+        |_| {
+            list_schedule_cp_first(task_100k.dag(), Some(task_100k.offloaded()), 8)
+                .expect("list schedules")
+                .0
+        },
+    ));
     let small = exact_task();
     kernels.push(time_kernel("exact/solve_small", budget, |_| {
         solve(
@@ -312,14 +354,13 @@ pub fn run(config: &PerfConfig) -> PerfReport {
     // pipeline (the pre-PR5 edge-by-edge path was 5.7 ms / 117 ms per
     // graph here), plus Algorithm 1 at that scale. One op is one whole
     // graph, so these get a larger budget than the microsecond kernels.
-    let gen_budget = budget.max(Duration::from_millis(120));
     let nfj_10k = NfjParams::large_graphs(10_000);
-    kernels.push(time_kernel("gen/nfj_build_10k", gen_budget, |i| {
+    kernels.push(time_kernel("gen/nfj_build_10k", large_budget, |i| {
         let mut rng = StdRng::seed_from_u64(0xBE9C_0010 ^ i);
         generate_nfj(&nfj_10k, &mut rng).expect("large-graph sample accepted")
     }));
     let layered_10k = LayeredParams::large_graphs(10_000);
-    kernels.push(time_kernel("gen/layered_build_10k", gen_budget, |i| {
+    kernels.push(time_kernel("gen/layered_build_10k", large_budget, |i| {
         let mut rng = StdRng::seed_from_u64(0xBE9C_0020 ^ i);
         generate_layered(&layered_10k, &mut rng).expect("valid params")
     }));
@@ -334,20 +375,20 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         )
         .expect("offload assignment succeeds")
     };
-    kernels.push(time_kernel("core/transform_10k", gen_budget, |_| {
+    kernels.push(time_kernel("core/transform_10k", large_budget, |_| {
         transform(&large_task).expect("transformable")
     }));
     // The tier this PR opens: n≈10⁵ construction must stay closure-free
     // (the old bitset-closure reduction alone would be seconds and ≈1.2
     // GiB here). One op is one whole 100k-node graph.
     let layered_100k = LayeredParams::large_graphs(100_000);
-    kernels.push(time_kernel("gen/layered_build_100k", gen_budget, |i| {
+    kernels.push(time_kernel("gen/layered_build_100k", large_budget, |i| {
         let mut rng = StdRng::seed_from_u64(0xBE9C_0021 ^ i);
         generate_layered(&layered_100k, &mut rng).expect("valid params")
     }));
     if !config.quick {
         let layered_1m = LayeredParams::large_graphs(1_000_000);
-        kernels.push(time_kernel("gen/layered_build_1m", gen_budget, |i| {
+        kernels.push(time_kernel("gen/layered_build_1m", large_budget, |i| {
             let mut rng = StdRng::seed_from_u64(0xBE9C_0022 ^ i);
             generate_layered(&layered_1m, &mut rng).expect("valid params")
         }));

@@ -122,7 +122,7 @@ macro_rules! sweep_shape_flags {
                 name: "--n-max",
                 value: Some("N"),
                 help: "large-graph tier: sweep NFJ DAGs of up to N nodes \
-                       (accepted from N/4 up; builder-first generation keeps this O(V+E))",
+                       (accepted from N/4 up; only the accepted sample is built, in O(V+E))",
                 ..FlagSpec::DEFAULT
             },
             FlagSpec {
@@ -1347,7 +1347,7 @@ fn engine_sweep_cmd(args: &ParsedArgs) -> Result<String, String> {
     };
 
     let mut text = if args.has("--csv") {
-        render_cells_csv(&aggregate.cells)
+        render_cells_csv(&aggregate.cells, &spec.analyses)
     } else {
         render_cells_table(&aggregate.cells)
     };
@@ -1428,7 +1428,7 @@ fn engine_sweep_dist(
         .map_err(|e| e.to_string())?;
 
     let mut text = if args.has("--csv") {
-        render_cells_csv(&out.aggregate.cells)
+        render_cells_csv(&out.aggregate.cells, &spec.analyses)
     } else {
         render_cells_table(&out.aggregate.cells)
     };
@@ -1502,7 +1502,7 @@ fn engine_sweep_shard(
     let aggregate = aggregator.partial();
 
     let mut text = if args.has("--csv") {
-        render_cells_csv(&aggregate.cells)
+        render_cells_csv(&aggregate.cells, &spec.analyses)
     } else {
         render_cells_table(&aggregate.cells)
     };
@@ -1714,7 +1714,7 @@ fn submit_cmd(args: &ParsedArgs) -> Result<String, String> {
     );
 
     let mut text = if args.has("--csv") {
-        render_cells_csv(&outcome.aggregate.cells)
+        render_cells_csv(&outcome.aggregate.cells, &spec.analyses)
     } else {
         render_cells_table(&outcome.aggregate.cells)
     };
@@ -2068,9 +2068,14 @@ fn render_cells_table(cells: &[hetrta_engine::CellSummary]) -> String {
     out
 }
 
-fn render_cells_csv(cells: &[hetrta_engine::CellSummary]) -> String {
+/// Renders the cell block as CSV. Columns of analyses `analyses` did not
+/// select stay empty rather than showing `0`.
+fn render_cells_csv(cells: &[hetrta_engine::CellSummary], analyses: &AnalysisSelection) -> String {
     let mut out = String::new();
     let opt = |v: Option<f64>| v.map_or(String::new(), |x| format!("{x:.6}"));
+    // `R_het` comes from `het` only; `R_hom(τ)` from `het` or `hom`.
+    let het = analyses.contains("het");
+    let hom = het || analyses.contains("hom");
     match cells.first().map(|c| &c.kind) {
         Some(CellKind::Set(_)) => {
             let labels = TestKind::ALL.map(|t| t.label().to_owned()).join(",");
@@ -2134,7 +2139,7 @@ fn render_cells_csv(cells: &[hetrta_engine::CellSummary]) -> String {
                 let anytime = t.anytime.as_ref();
                 let _ = writeln!(
                     out,
-                    "{},{},{},{s1:.6},{s21:.6},{s22:.6},{:.6},{:.6},{},{},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+                    "{},{},{},{s1:.6},{s21:.6},{s22:.6},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
                     cell.m,
                     cell.grid_value,
                     cell.samples,
@@ -2142,8 +2147,8 @@ fn render_cells_csv(cells: &[hetrta_engine::CellSummary]) -> String {
                     t.max_improvement,
                     t.schedulable_het,
                     t.schedulable_hom,
-                    t.mean_r_het,
-                    t.mean_r_hom,
+                    opt(het.then_some(t.mean_r_het)),
+                    opt(hom.then_some(t.mean_r_hom)),
                     opt(t.mean_sim_makespan),
                     opt(t.mean_sim_transformed),
                     t.exact_solved,

@@ -7,18 +7,43 @@
 //! (`simulate_makespan`, `solve_with` on a warm workspace), and the warm
 //! path must do strictly less heap work per call. A separate budget pins
 //! the steady-state allocations per *sweep cell* of a fully warmed engine.
+//!
+//! The libtest harness runs these tests concurrently, so counts are kept
+//! **per thread**: the single-threaded kernel measurements read only the
+//! calling thread's counter, which no sibling test's worker thread can
+//! touch. The engine measurement has to count the engine's own worker
+//! threads too, so it reads the process-wide total; that test holds the
+//! [`MEASURE`] lock exclusively and the per-thread tests hold it shared,
+//! so no other test of this binary runs while it measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 struct CountingAllocator;
 
+/// Allocations by every thread of the process.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: delegates verbatim to `System`; the counter is the only addition.
+thread_local! {
+    /// Allocations by the current thread. A `const`-initialized `Cell`
+    /// needs no destructor registration, so touching it from inside the
+    /// allocator never allocates.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    // `try_with`: allocations during thread teardown, after the slot is
+    // gone, still count process-wide.
+    let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: delegates verbatim to `System`; the counters are the only addition.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -27,7 +52,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -35,7 +60,27 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-fn allocations_during<T>(op: impl FnOnce() -> T) -> (u64, T) {
+/// Held shared for the whole of each per-thread test and exclusively for
+/// the whole of the process-wide one.
+static MEASURE: RwLock<()> = RwLock::new(());
+
+fn per_thread_test() -> RwLockReadGuard<'static, ()> {
+    MEASURE.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn process_wide_test() -> RwLockWriteGuard<'static, ()> {
+    MEASURE.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Allocations the *calling thread* makes during `op`.
+fn thread_allocations_during<T>(op: impl FnOnce() -> T) -> (u64, T) {
+    let before = THREAD_ALLOCATIONS.with(Cell::get);
+    let value = op();
+    (THREAD_ALLOCATIONS.with(Cell::get) - before, value)
+}
+
+/// Allocations by *every thread* during `op` (which may spawn threads).
+fn process_allocations_during<T>(op: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let value = op();
     (ALLOCATIONS.load(Ordering::Relaxed) - before, value)
@@ -70,6 +115,7 @@ fn sample_task(n_min: usize, n_max: usize) -> hetrta_dag::HeteroDagTask {
 
 #[test]
 fn warm_sim_workspace_allocates_an_order_less_than_the_cold_path() {
+    let _measuring = per_thread_test();
     let task = sample_task(60, 120);
     let platform = Platform::with_accelerator(4);
     let mut ws = SimWorkspace::new();
@@ -86,7 +132,7 @@ fn warm_sim_workspace_allocates_an_order_less_than_the_cold_path() {
     }
 
     const RUNS: u64 = 20;
-    let (cold, _) = allocations_during(|| {
+    let (cold, _) = thread_allocations_during(|| {
         for _ in 0..RUNS {
             // The pre-refactor shape: every call builds its own queues,
             // heaps and per-node arrays (and an intervals vector).
@@ -99,7 +145,7 @@ fn warm_sim_workspace_allocates_an_order_less_than_the_cold_path() {
             .unwrap();
         }
     });
-    let (warm, _) = allocations_during(|| {
+    let (warm, _) = thread_allocations_during(|| {
         for _ in 0..RUNS {
             simulate_makespan(
                 &mut ws,
@@ -112,7 +158,8 @@ fn warm_sim_workspace_allocates_an_order_less_than_the_cold_path() {
         }
     });
     // Fixed budget: a warm simulation may allocate a handful of times
-    // (`sources()` collects), nothing per-node.
+    // (`sources()` collects), nothing per-node — the ready queue, release
+    // stack and resource heaps all live in the workspace.
     assert!(
         warm <= RUNS * 4,
         "warm sim path allocates {warm} over {RUNS} runs (budget {})",
@@ -126,6 +173,7 @@ fn warm_sim_workspace_allocates_an_order_less_than_the_cold_path() {
 
 #[test]
 fn warm_solver_workspace_allocates_less_than_the_cold_path() {
+    let _measuring = per_thread_test();
     let task = sample_task(14, 20);
     let config = SolverConfig::default();
     let mut ws = SolverWorkspace::new();
@@ -134,12 +182,12 @@ fn warm_solver_workspace_allocates_less_than_the_cold_path() {
     }
 
     const RUNS: u64 = 10;
-    let (cold, _) = allocations_during(|| {
+    let (cold, _) = thread_allocations_during(|| {
         for _ in 0..RUNS {
             solve(task.dag(), Some(task.offloaded()), 2, &config).unwrap();
         }
     });
-    let (warm, _) = allocations_during(|| {
+    let (warm, _) = thread_allocations_during(|| {
         for _ in 0..RUNS {
             solve_with(&mut ws, task.dag(), Some(task.offloaded()), 2, &config).unwrap();
         }
@@ -152,6 +200,7 @@ fn warm_solver_workspace_allocates_less_than_the_cold_path() {
 
 #[test]
 fn steady_state_engine_cells_fit_a_fixed_allocation_budget() {
+    let _measuring = process_wide_test();
     // 2 cores × 2 fractions × 8 tasks = 32 jobs over 4 cells. After the
     // first run everything is memoized; the steady-state re-run must stay
     // under a fixed per-cell allocation budget (cache lookups, outcome
@@ -167,7 +216,7 @@ fn steady_state_engine_cells_fit_a_fixed_allocation_budget() {
     engine.run(&spec).unwrap();
 
     let cells = 4u64;
-    let (steady, out) = allocations_during(|| engine.run(&spec).unwrap());
+    let (steady, out) = process_allocations_during(|| engine.run(&spec).unwrap());
     assert_eq!(out.stats.cached_jobs as usize, out.stats.jobs);
     const PER_CELL_BUDGET: u64 = 4_000;
     assert!(

@@ -48,7 +48,24 @@ pub fn workload_bound(dag: &Dag, offloaded: Option<NodeId>, m: u64) -> Ticks {
 /// ```
 #[must_use]
 pub fn root_bound(dag: &Dag, offloaded: Option<NodeId>, m: u64) -> Ticks {
-    critical_path_bound(dag).max(workload_bound(dag, offloaded, m))
+    root_bound_with_path(dag, &CriticalPath::of(dag), offloaded, m)
+}
+
+/// [`root_bound`] from a [`CriticalPath`] the caller already holds (the
+/// `anytime` bracket shares one with
+/// [`crate::list_schedule_with_path`]).
+///
+/// # Panics
+///
+/// Panics if `m == 0`.
+#[must_use]
+pub fn root_bound_with_path(
+    dag: &Dag,
+    cp: &CriticalPath,
+    offloaded: Option<NodeId>,
+    m: u64,
+) -> Ticks {
+    cp.length().max(workload_bound(dag, offloaded, m))
 }
 
 /// Water-filling workload bound from a partial state: the minimal `M` such

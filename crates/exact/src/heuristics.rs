@@ -28,86 +28,60 @@ pub fn list_schedule_cp_first(
     offloaded: Option<NodeId>,
     m: u64,
 ) -> Result<(Ticks, Vec<Ticks>), ExactError> {
-    if m == 0 {
-        return Err(ExactError::ZeroCores);
-    }
-    if let Some(off) = offloaded {
-        if !dag.contains_node(off) {
-            return Err(ExactError::Dag(hetrta_dag::DagError::UnknownNode(off)));
-        }
-    }
-    let n = dag.node_count();
+    // Argument errors take precedence over a cycle found by the path pass.
+    check_args(dag, offloaded, m)?;
     let cp = CriticalPath::try_of(dag)?;
-    let tails: Vec<u64> = dag.node_ids().map(|v| cp.tail(v).get()).collect();
+    list_schedule_with_path(dag, &cp, offloaded, m)
+}
 
-    let mut remaining: Vec<usize> = (0..n)
-        .map(|i| dag.in_degree(NodeId::from_index(i)))
-        .collect();
-    let mut starts = vec![Ticks::ZERO; n];
-    let mut done = 0usize;
+/// [`list_schedule_cp_first`] with the graph's [`CriticalPath`] supplied
+/// by the caller, so one critical-path pass serves both the schedule and
+/// a lower bound such as [`crate::bounds::root_bound_with_path`].
+///
+/// The ready set is a max-heap on `(tail, smallest id)` — a strict total
+/// order, so the pick sequence is fully determined — and every operation
+/// on it is `O(log n)`: the whole schedule costs `O((V + E) log V)`.
+///
+/// # Errors
+///
+/// As [`list_schedule_cp_first`]; a cyclic graph has no critical path, so
+/// the cycle is reported while computing `cp`.
+///
+/// # Panics
+///
+/// Panics if `cp` was computed for a graph with fewer nodes than `dag`.
+pub fn list_schedule_with_path(
+    dag: &Dag,
+    cp: &CriticalPath,
+    offloaded: Option<NodeId>,
+    m: u64,
+) -> Result<(Ticks, Vec<Ticks>), ExactError> {
+    check_args(dag, offloaded, m)?;
+    let n = dag.node_count();
+    let mut run = ListRun {
+        dag,
+        cp,
+        offloaded,
+        remaining: (0..n)
+            .map(|i| dag.in_degree(NodeId::from_index(i)) as u32)
+            .collect(),
+        starts: vec![Ticks::ZERO; n],
+        done: 0,
+        running: BinaryHeap::new(),
+        ready: BinaryHeap::new(),
+        stack: Vec::new(),
+    };
     let mut free: BinaryHeap<Reverse<u64>> = (0..m).map(|_| Reverse(0u64)).collect();
-    // (finish, node)
-    let mut running: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-    // ready host jobs, picked by max tail (ties: smallest id)
-    let mut ready: Vec<NodeId> = Vec::new();
     let mut now = 0u64;
 
-    #[allow(clippy::too_many_arguments)] // internal event helper threading engine state
-    fn release(
-        v: NodeId,
-        now: u64,
-        dag: &Dag,
-        offloaded: Option<NodeId>,
-        tails: &[u64],
-        ready: &mut Vec<NodeId>,
-        running: &mut BinaryHeap<Reverse<(u64, u32)>>,
-        starts: &mut [Ticks],
-        done: &mut usize,
-        remaining: &mut [usize],
-    ) {
-        let w = dag.wcet(v).get();
-        if w == 0 {
-            starts[v.index()] = Ticks::new(now);
-            *done += 1;
-            for &s in dag.successors(v) {
-                remaining[s.index()] -= 1;
-                if remaining[s.index()] == 0 {
-                    release(
-                        s, now, dag, offloaded, tails, ready, running, starts, done, remaining,
-                    );
-                }
-            }
-        } else if offloaded == Some(v) {
-            starts[v.index()] = Ticks::new(now);
-            running.push(Reverse((now + w, v.index() as u32)));
-        } else {
-            let pos = ready
-                .binary_search_by(|x| {
-                    (Reverse(tails[x.index()]), x.index())
-                        .cmp(&(Reverse(tails[v.index()]), v.index()))
-                })
-                .unwrap_or_else(|p| p);
-            ready.insert(pos, v);
-        }
-    }
-
     for v in dag.sources() {
-        release(
-            v,
-            now,
-            dag,
-            offloaded,
-            &tails,
-            &mut ready,
-            &mut running,
-            &mut starts,
-            &mut done,
-            &mut remaining,
-        );
+        if run.settle(v, now) {
+            run.complete(v, now);
+        }
     }
 
     loop {
-        while !ready.is_empty() {
+        while !run.ready.is_empty() {
             let Some(&Reverse(core_free)) = free.peek() else {
                 break;
             };
@@ -115,58 +89,114 @@ pub fn list_schedule_cp_first(
                 break;
             }
             free.pop();
-            let v = ready.remove(0);
-            starts[v.index()] = Ticks::new(now);
+            let (_, Reverse(id)) = run.ready.pop().expect("checked non-empty");
+            let v = NodeId::from_index(id as usize);
+            run.starts[v.index()] = Ticks::new(now);
             let finish = now + dag.wcet(v).get();
             free.push(Reverse(finish));
-            running.push(Reverse((finish, v.index() as u32)));
+            run.running.push(Reverse((finish, id)));
         }
-        // next event: earliest running completion, or earliest core slot if
-        // jobs are waiting (cores all busy)
-        let Some(&Reverse((fin, _))) = running.peek() else {
+        // next event: earliest running completion
+        let Some(&Reverse((fin, _))) = run.running.peek() else {
             break;
         };
         now = fin;
-        while let Some(&Reverse((f, vi))) = running.peek() {
+        while let Some(&Reverse((f, vi))) = run.running.peek() {
             if f != now {
                 break;
             }
-            running.pop();
-            done += 1;
-            let v = NodeId::from_index(vi as usize);
-            for &s in dag.successors(v).to_vec().iter() {
-                remaining[s.index()] -= 1;
-                if remaining[s.index()] == 0 {
-                    release(
-                        s,
-                        now,
-                        dag,
-                        offloaded,
-                        &tails,
-                        &mut ready,
-                        &mut running,
-                        &mut starts,
-                        &mut done,
-                        &mut remaining,
-                    );
-                }
-            }
+            run.running.pop();
+            run.done += 1;
+            run.complete(NodeId::from_index(vi as usize), now);
         }
     }
-    if done != n {
+    if run.done != n {
         return Err(ExactError::Dag(hetrta_dag::DagError::Cycle(
             (0..n)
                 .map(NodeId::from_index)
-                .find(|v| remaining[v.index()] > 0)
+                .find(|v| run.remaining[v.index()] > 0)
                 .unwrap_or(NodeId::from_index(0)),
         )));
     }
+    let starts = run.starts;
     let makespan = dag
         .node_ids()
         .map(|v| starts[v.index()] + dag.wcet(v))
         .max()
         .unwrap_or(Ticks::ZERO);
     Ok((makespan, starts))
+}
+
+/// The argument checks shared by both entry points.
+fn check_args(dag: &Dag, offloaded: Option<NodeId>, m: u64) -> Result<(), ExactError> {
+    if m == 0 {
+        return Err(ExactError::ZeroCores);
+    }
+    match offloaded {
+        Some(off) if !dag.contains_node(off) => {
+            Err(ExactError::Dag(hetrta_dag::DagError::UnknownNode(off)))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Mutable state of one list-schedule run.
+struct ListRun<'a> {
+    dag: &'a Dag,
+    cp: &'a CriticalPath,
+    offloaded: Option<NodeId>,
+    /// Unfinished predecessors per node.
+    remaining: Vec<u32>,
+    starts: Vec<Ticks>,
+    done: usize,
+    /// (finish, node)
+    running: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Ready host jobs, popped by max tail (ties: smallest id).
+    ready: BinaryHeap<(Ticks, Reverse<u32>)>,
+    /// Explicit DFS frames `(node, next successor slot)` of the zero-WCET
+    /// release cascade.
+    stack: Vec<(NodeId, u32)>,
+}
+
+impl ListRun<'_> {
+    /// Records `v` ready at `now`: starts the offloaded node, queues host
+    /// work, and returns `true` for a zero-WCET node, which completes
+    /// instantly (its successors are then the caller's to release).
+    fn settle(&mut self, v: NodeId, now: u64) -> bool {
+        let w = self.dag.wcet(v).get();
+        if w == 0 {
+            self.starts[v.index()] = Ticks::new(now);
+            self.done += 1;
+            return true;
+        }
+        let id = v.index() as u32;
+        if self.offloaded == Some(v) {
+            self.starts[v.index()] = Ticks::new(now);
+            self.running.push(Reverse((now + w, id)));
+        } else {
+            self.ready.push((self.cp.tail(v), Reverse(id)));
+        }
+        false
+    }
+
+    /// `v` finished at `now`: releases the successors it was the last
+    /// predecessor of, cascading through zero-WCET nodes in the pre-order
+    /// of a recursive depth-first walk (successor slice order) without
+    /// recursing.
+    fn complete(&mut self, v: NodeId, now: u64) {
+        self.stack.push((v, 0));
+        while let Some(frame) = self.stack.last_mut() {
+            let Some(&s) = self.dag.successors(frame.0).get(frame.1 as usize) else {
+                self.stack.pop();
+                continue;
+            };
+            frame.1 += 1;
+            self.remaining[s.index()] -= 1;
+            if self.remaining[s.index()] == 0 && self.settle(s, now) {
+                self.stack.push((s, 0));
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -55,7 +55,7 @@ mod schedule;
 mod solver;
 
 pub use error::ExactError;
-pub use heuristics::list_schedule_cp_first;
+pub use heuristics::{list_schedule_cp_first, list_schedule_with_path};
 pub use schedule::{ExactSchedule, Optimality};
 pub use solver::{
     solve, solve_hetero_task, solve_with, SolverConfig, SolverWorkspace, MAX_NODES_SUPPORTED,

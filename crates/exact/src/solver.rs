@@ -15,8 +15,8 @@ use std::collections::HashMap;
 use hetrta_dag::algo::{topological_order, CriticalPath};
 use hetrta_dag::{Dag, DagError, HeteroDagTask, NodeId, Ticks};
 
-use crate::bounds::{root_bound, water_filling_bound};
-use crate::heuristics::list_schedule_cp_first;
+use crate::bounds::{root_bound_with_path, water_filling_bound};
+use crate::heuristics::list_schedule_with_path;
 use crate::schedule::{ExactSchedule, Optimality};
 use crate::ExactError;
 
@@ -173,8 +173,8 @@ pub fn solve_with(
     memo.clear();
 
     // Incumbent from the CP-first list schedule.
-    let (inc_makespan, inc_starts) = list_schedule_cp_first(dag, offloaded, m)?;
-    let root_lb = root_bound(dag, offloaded, m);
+    let (inc_makespan, inc_starts) = list_schedule_with_path(dag, &cp, offloaded, m)?;
+    let root_lb = root_bound_with_path(dag, &cp, offloaded, m);
 
     let mut search = Search {
         dag,

@@ -1,6 +1,6 @@
 //! Nested fork-join DAG generation (the paper's generator, §5.1).
 
-use hetrta_dag::{Dag, DagBuilder, NodeId, Ticks};
+use hetrta_dag::{Dag, NodeId, Ticks};
 use rand::Rng;
 
 use crate::GenError;
@@ -83,9 +83,9 @@ impl NfjParams {
     /// The recursion depth is derived from the target size (the NFJ
     /// process grows geometrically with depth, roughly ×5 per level at
     /// `n_par = 8`), and the expansion probability is raised to `0.85` so
-    /// degenerate single-node samples are rare. Builder-first
-    /// construction freezes each accepted sample in `O(|V| + |E|)`, which
-    /// is what makes this tier practical: `hetrta engine sweep
+    /// degenerate single-node samples are rare. Rejected samples are only
+    /// drawn, never built, and the accepted one is built in
+    /// `O(|V| + |E|)`, which is what makes this tier practical: `hetrta engine sweep
     /// --n-max 10000` sweeps ten-thousand-node DAGs.
     ///
     /// # Examples
@@ -256,17 +256,20 @@ impl NfjParams {
 /// ```
 pub fn generate_nfj<R: Rng + ?Sized>(params: &NfjParams, rng: &mut R) -> Result<Dag, GenError> {
     params.validate()?;
+    let mut shape = Vec::new();
     for attempt in 1..=params.max_attempts {
-        // Accumulate the sample in the builder's nested adjacency and
-        // only freeze to CSR when the rejection sampler accepts it — one
-        // O(|V| + |E|) pass per accepted graph, none per rejected one.
-        let mut b = DagBuilder::new();
-        expand(&mut b, 0, params, rng);
-        let n = b.node_count();
+        // Draw the sample's shape first — every random value, in the
+        // expansion's order — and materialize only a sample the rejection
+        // sampler accepts. A rejected sample costs its draws, not a graph
+        // of nodes, labels and edges, so generation time tracks the
+        // accepted graph's size rather than how many samples a seed
+        // happens to reject.
+        shape.clear();
+        let n = draw_shape(&mut shape, 0, params, rng);
         if n >= params.n_min && n <= params.n_max {
             // Valid by construction (acyclic, single terminals, no
             // transitive edges), so the unvalidated freeze suffices.
-            let dag = b.freeze();
+            let dag = materialize(&shape, n);
             debug_assert!(hetrta_dag::validate_task_model(&dag).is_ok());
             return Ok(dag);
         }
@@ -277,27 +280,116 @@ pub fn generate_nfj<R: Rng + ?Sized>(params: &NfjParams, rng: &mut R) -> Result<
     unreachable!("loop returns or errors on the last attempt")
 }
 
-/// Expands one abstract node at `depth`; returns its (entry, exit) node ids.
-fn expand<R: Rng + ?Sized>(
-    b: &mut DagBuilder,
+/// One abstract node of a drawn sample, in expansion pre-order.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// A fork and a join around `branches` sub-DAGs (the steps that
+    /// follow, one subtree each).
+    Parallel {
+        fork: Ticks,
+        join: Ticks,
+        branches: usize,
+    },
+    /// A single node.
+    Terminal(Ticks),
+}
+
+/// Expands one abstract node at `depth` without building it: appends its
+/// steps to `shape` and returns its node count. The draws — expansion
+/// coin, fork and join WCETs, branch count, then each branch — are those
+/// of building the node directly, so the RNG stream is the same either
+/// way.
+fn draw_shape<R: Rng + ?Sized>(
+    shape: &mut Vec<Step>,
     depth: usize,
     params: &NfjParams,
     rng: &mut R,
-) -> (NodeId, NodeId) {
+) -> usize {
     let wcet = |rng: &mut R| Ticks::new(rng.gen_range(params.c_min..=params.c_max));
     if depth < params.max_depth && rng.gen_bool(params.p_par) {
-        let fork = b.node(format!("fork@{depth}"), wcet(rng));
-        let join = b.node(format!("join@{depth}"), wcet(rng));
+        let fork = wcet(rng);
+        let join = wcet(rng);
         let branches = rng.gen_range(2..=params.n_par);
+        shape.push(Step::Parallel {
+            fork,
+            join,
+            branches,
+        });
+        let mut n = 2;
         for _ in 0..branches {
-            let (entry, exit) = expand(b, depth + 1, params, rng);
-            b.edge(fork, entry).expect("fresh branch entry");
-            b.edge(exit, join).expect("fresh branch exit");
+            n += draw_shape(shape, depth + 1, params, rng);
         }
-        (fork, join)
+        n
     } else {
-        let t = b.node(format!("t@{depth}"), wcet(rng));
-        (t, t)
+        shape.push(Step::Terminal(wcet(rng)));
+        1
+    }
+}
+
+/// The graph of a drawn `shape` with `n` nodes: nodes in creation order
+/// (fork, join, then each branch), edges in insertion order (fork → entry,
+/// exit → join after each branch), labels `fork@d` / `join@d` / `t@d`.
+fn materialize(shape: &[Step], n: usize) -> Dag {
+    let mut parts = Parts {
+        wcets: Vec::with_capacity(n),
+        labels: Vec::with_capacity(n),
+        // Every step but the root is one branch: two edges each.
+        edges: Vec::with_capacity(2 * (shape.len() - 1)),
+        depth_labels: Vec::new(),
+    };
+    let mut steps = shape.iter();
+    parts.expand(&mut steps, 0);
+    debug_assert!(steps.next().is_none() && parts.wcets.len() == n);
+    Dag::from_parts(parts.wcets, parts.labels, &parts.edges)
+}
+
+/// The graph under construction by [`materialize`].
+struct Parts {
+    wcets: Vec<Ticks>,
+    labels: Vec<String>,
+    edges: Vec<(NodeId, NodeId)>,
+    /// `[fork, join, terminal]` labels per depth, formatted once.
+    depth_labels: Vec<[String; 3]>,
+}
+
+impl Parts {
+    /// Builds the next abstract node of `steps` at `depth`; returns its
+    /// (entry, exit) node ids.
+    fn expand(&mut self, steps: &mut std::slice::Iter<'_, Step>, depth: usize) -> (NodeId, NodeId) {
+        if depth == self.depth_labels.len() {
+            self.depth_labels.push([
+                format!("fork@{depth}"),
+                format!("join@{depth}"),
+                format!("t@{depth}"),
+            ]);
+        }
+        match *steps.next().expect("the shape covers every node") {
+            Step::Parallel {
+                fork,
+                join,
+                branches,
+            } => {
+                let fork = self.node(depth, 0, fork);
+                let join = self.node(depth, 1, join);
+                for _ in 0..branches {
+                    let (entry, exit) = self.expand(steps, depth + 1);
+                    self.edges.push((fork, entry));
+                    self.edges.push((exit, join));
+                }
+                (fork, join)
+            }
+            Step::Terminal(wcet) => {
+                let t = self.node(depth, 2, wcet);
+                (t, t)
+            }
+        }
+    }
+
+    fn node(&mut self, depth: usize, kind: usize, wcet: Ticks) -> NodeId {
+        let id = NodeId::from_index(self.wcets.len());
+        self.wcets.push(wcet);
+        self.labels.push(self.depth_labels[depth][kind].clone());
+        id
     }
 }
 
@@ -305,7 +397,7 @@ fn expand<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use hetrta_dag::algo::{transitive, CriticalPath};
-    use hetrta_dag::validate_task_model;
+    use hetrta_dag::{validate_task_model, DagBuilder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -428,6 +520,83 @@ mod tests {
             generate_nfj(&bad_npar, &mut rng),
             Err(GenError::InvalidParams(_))
         ));
+    }
+
+    /// The builder-based generator the shape-first one replaced: every
+    /// attempt builds its sample through a [`DagBuilder`].
+    fn reference_generate(params: &NfjParams, rng: &mut StdRng) -> Option<Dag> {
+        fn expand(
+            b: &mut DagBuilder,
+            depth: usize,
+            params: &NfjParams,
+            rng: &mut StdRng,
+        ) -> (NodeId, NodeId) {
+            let wcet = |rng: &mut StdRng| Ticks::new(rng.gen_range(params.c_min..=params.c_max));
+            if depth < params.max_depth && rng.gen_bool(params.p_par) {
+                let fork = b.node(format!("fork@{depth}"), wcet(rng));
+                let join = b.node(format!("join@{depth}"), wcet(rng));
+                let branches = rng.gen_range(2..=params.n_par);
+                for _ in 0..branches {
+                    let (entry, exit) = expand(b, depth + 1, params, rng);
+                    b.edge(fork, entry).unwrap();
+                    b.edge(exit, join).unwrap();
+                }
+                (fork, join)
+            } else {
+                let t = b.node(format!("t@{depth}"), wcet(rng));
+                (t, t)
+            }
+        }
+        for _ in 0..params.max_attempts {
+            let mut b = DagBuilder::new();
+            expand(&mut b, 0, params, rng);
+            if (params.n_min..=params.n_max).contains(&b.node_count()) {
+                return Some(b.freeze());
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn shape_first_generation_matches_the_builder_reference() {
+        let cases = [
+            NfjParams::small_tasks(),
+            NfjParams::large_tasks(),
+            NfjParams::large_tasks().with_node_range(150, 200),
+            NfjParams::large_graphs(20_000),
+            NfjParams::new(3, 4, 1, 1_000).with_p_par(1.0),
+            NfjParams::new(4, 2, 2, 2)
+                .with_p_par(0.0)
+                .with_max_attempts(5),
+        ];
+        for params in &cases {
+            for seed in 0..12 {
+                let mut fast = StdRng::seed_from_u64(seed);
+                let mut slow = StdRng::seed_from_u64(seed);
+                let got = generate_nfj(params, &mut fast).ok();
+                let want = reference_generate(params, &mut slow);
+                // The RNG stream continues identically (task offloading
+                // draws from it next).
+                assert_eq!(
+                    fast.gen::<u64>(),
+                    slow.gen::<u64>(),
+                    "{params:?} seed {seed}"
+                );
+                let (got, want) = match (got, want) {
+                    (Some(got), Some(want)) => (got, want),
+                    (None, None) => continue,
+                    _ => panic!("{params:?} seed {seed}: only one generator failed"),
+                };
+                assert_eq!(got.node_count(), want.node_count());
+                assert_eq!(got.edge_count(), want.edge_count());
+                for v in want.node_ids() {
+                    assert_eq!(got.wcet(v), want.wcet(v));
+                    assert_eq!(got.label(v), want.label(v));
+                    assert_eq!(got.successors(v), want.successors(v));
+                    assert_eq!(got.predecessors(v), want.predecessors(v));
+                }
+            }
+        }
     }
 
     #[test]

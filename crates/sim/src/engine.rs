@@ -1,12 +1,12 @@
 //! The discrete-event simulation engine.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use hetrta_dag::{Dag, DagError, HeteroDagTask, NodeId, Ticks};
 
 use crate::policy::{Policy, PolicyContext};
-use crate::SimError;
+use crate::{ReadyQueue, SimError};
 
 /// The simulated platform: `m` identical host cores plus zero or more
 /// accelerator devices.
@@ -192,17 +192,11 @@ pub fn simulate_multi(
     policy: &mut dyn Policy,
 ) -> Result<SimResult, SimError> {
     let mut ws = SimWorkspace::new();
-    run_event_loop(&mut ws, dag, offloaded, platform, policy)?;
-    let makespan = ws
-        .intervals
-        .iter()
-        .map(|i| i.finish)
-        .max()
-        .unwrap_or(Ticks::ZERO);
+    run_event_loop(&mut ws, dag, offloaded, platform, policy, true)?;
     let mut intervals = std::mem::take(&mut ws.intervals);
     intervals.sort_by_key(|i| (i.start, i.node));
     Ok(SimResult {
-        makespan,
+        makespan: ws.makespan,
         intervals,
         policy: policy.name(),
         platform,
@@ -212,7 +206,8 @@ pub fn simulate_multi(
 /// Simulates `dag` and returns only the makespan, reusing `ws` for every
 /// queue, heap and per-node array — the steady-state allocation count of a
 /// warm workspace is zero, which is what the batch engine's per-worker
-/// workspaces rely on.
+/// workspaces rely on. No interval log is kept: the makespan is tracked
+/// as the running maximum finish time.
 ///
 /// Produces exactly the makespan [`simulate`] would report for the same
 /// arguments (pinned by tests).
@@ -235,17 +230,12 @@ pub fn simulate_makespan(
         }
         None => &[],
     };
-    run_event_loop(ws, dag, offloaded, platform, policy)?;
-    Ok(ws
-        .intervals
-        .iter()
-        .map(|i| i.finish)
-        .max()
-        .unwrap_or(Ticks::ZERO))
+    run_event_loop(ws, dag, offloaded, platform, policy, false)?;
+    Ok(ws.makespan)
 }
 
 /// Reusable scratch state of the simulation event loop: per-node arrays,
-/// ready queues, resource heaps, and the interval log.
+/// ready queues, resource heaps, the release stack and the interval log.
 ///
 /// One workspace serves any number of sequential simulations of any
 /// graphs/platforms; each run resets (but does not reallocate) the
@@ -253,16 +243,34 @@ pub fn simulate_makespan(
 /// sweeps do near-zero heap allocation per simulated task.
 #[derive(Debug, Default)]
 pub struct SimWorkspace {
-    is_offloaded: Vec<bool>,
-    remaining_preds: Vec<u32>,
+    /// Per-node state of the run, indexed by node.
+    slots: Vec<NodeSlot>,
+    /// Release time per node; kept only when the run logs intervals.
     ready_time: Vec<Ticks>,
+    /// Whether this run logs an [`Interval`] per node.
+    log: bool,
     intervals: Vec<Interval>,
+    makespan: Ticks,
     finished: usize,
     free_cores: BinaryHeap<Reverse<usize>>,
     free_accels: BinaryHeap<Reverse<usize>>,
     running: BinaryHeap<Reverse<(u64, u32, ResourceKey)>>,
-    ready_host: Vec<NodeId>,
-    ready_accel: Vec<NodeId>,
+    ready_host: ReadyQueue,
+    ready_accel: VecDeque<NodeId>,
+    /// Explicit DFS frames `(node, next successor slot)` of the
+    /// zero-WCET release cascade.
+    release_stack: Vec<(NodeId, u32)>,
+}
+
+/// What the event loop reads and writes of one node, packed together so
+/// that releasing a node — count down its predecessors, read its WCET and
+/// device binding — touches one cache line instead of one per array.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeSlot {
+    wcet: Ticks,
+    /// Unfinished predecessors.
+    remaining: u32,
+    offloaded: bool,
 }
 
 impl SimWorkspace {
@@ -272,20 +280,27 @@ impl SimWorkspace {
         SimWorkspace::default()
     }
 
-    fn reset(&mut self, dag: &Dag, offloaded: &[NodeId], platform: Platform) {
+    fn reset(&mut self, dag: &Dag, offloaded: &[NodeId], platform: Platform, log: bool) {
         let n = dag.node_count();
-        self.is_offloaded.clear();
-        self.is_offloaded.resize(n, false);
+        self.slots.clear();
+        self.slots.extend(dag.node_ids().map(|v| NodeSlot {
+            wcet: dag.wcet(v),
+            remaining: dag.in_degree(v) as u32,
+            offloaded: false,
+        }));
         for &off in offloaded {
-            self.is_offloaded[off.index()] = true;
+            self.slots[off.index()].offloaded = true;
         }
-        self.remaining_preds.clear();
-        self.remaining_preds
-            .extend((0..n).map(|i| dag.in_degree(NodeId::from_index(i)) as u32));
         self.ready_time.clear();
-        self.ready_time.resize(n, Ticks::ZERO);
+        if log {
+            self.ready_time.resize(n, Ticks::ZERO);
+        }
+        self.log = log;
         self.intervals.clear();
-        self.intervals.reserve(n);
+        if log {
+            self.intervals.reserve(n);
+        }
+        self.makespan = Ticks::ZERO;
         self.finished = 0;
         self.free_cores.clear();
         self.free_cores.extend((0..platform.cores()).map(Reverse));
@@ -293,20 +308,23 @@ impl SimWorkspace {
         self.free_accels
             .extend((0..platform.accelerators()).map(Reverse));
         self.running.clear();
-        self.ready_host.clear();
+        self.ready_host.reset(n);
         self.ready_accel.clear();
+        self.release_stack.clear();
     }
 }
 
 /// Runs the event loop into `ws` (validation, policy preparation, reset,
-/// execution, stall check). `ws.intervals` holds every executed interval
-/// in completion order afterwards.
+/// execution, stall check). `ws.makespan` holds the makespan afterwards
+/// and, when `log` is set, `ws.intervals` every executed interval in
+/// start order of the event loop.
 fn run_event_loop(
     ws: &mut SimWorkspace,
     dag: &Dag,
     offloaded: &[NodeId],
     platform: Platform,
     policy: &mut dyn Policy,
+    log: bool,
 ) -> Result<(), SimError> {
     if platform.cores() == 0 {
         return Err(SimError::ZeroCores);
@@ -322,54 +340,49 @@ fn run_event_loop(
     policy.prepare(dag);
 
     let n = dag.node_count();
-    ws.reset(dag, offloaded, platform);
-    let mut engine = EngineRun { dag, ws };
+    ws.reset(dag, offloaded, platform, log);
 
     let mut now = Ticks::ZERO;
     for v in dag.sources() {
-        engine.release(v, now);
+        ws.release(dag, v, now);
     }
 
     loop {
         // Start device work (FIFO over the device-ready queue).
-        while !engine.ws.ready_accel.is_empty() && !engine.ws.free_accels.is_empty() {
-            let v = engine.ws.ready_accel.remove(0);
-            let Reverse(dev) = engine.ws.free_accels.pop().expect("checked non-empty");
-            engine.start(v, now, ResourceKey::Accel(dev));
+        while !ws.free_accels.is_empty() {
+            let Some(v) = ws.ready_accel.pop_front() else {
+                break;
+            };
+            let Reverse(dev) = ws.free_accels.pop().expect("checked non-empty");
+            ws.start(v, now, ResourceKey::Accel(dev));
         }
         // Start host work while cores are free (work conservation).
-        while !engine.ws.ready_host.is_empty() && !engine.ws.free_cores.is_empty() {
+        while !ws.ready_host.is_empty() && !ws.free_cores.is_empty() {
             let ctx = PolicyContext {
                 dag,
                 now: now.get(),
             };
-            let idx = policy.choose(&engine.ws.ready_host, &ctx);
+            let rank = policy.choose(&ws.ready_host, &ctx);
             assert!(
-                idx < engine.ws.ready_host.len(),
-                "policy {} returned out-of-range index",
+                rank < ws.ready_host.len(),
+                "policy {} returned out-of-range rank",
                 policy.name()
             );
-            let v = engine.ws.ready_host.remove(idx);
-            let Reverse(core) = engine.ws.free_cores.pop().expect("checked non-empty");
-            engine.start(v, now, ResourceKey::Host(core));
+            let v = ws.ready_host.remove(rank);
+            let Reverse(core) = ws.free_cores.pop().expect("checked non-empty");
+            ws.start(v, now, ResourceKey::Host(core));
         }
 
-        let Some(Reverse((finish, vi, res))) = engine.ws.running.pop() else {
+        let Some(Reverse((finish, vi, res))) = ws.running.pop() else {
             break;
         };
         now = Ticks::new(finish);
         match res {
-            ResourceKey::Host(core) => engine.ws.free_cores.push(Reverse(core)),
-            ResourceKey::Accel(dev) => engine.ws.free_accels.push(Reverse(dev)),
+            ResourceKey::Host(core) => ws.free_cores.push(Reverse(core)),
+            ResourceKey::Accel(dev) => ws.free_accels.push(Reverse(dev)),
         }
-        engine.ws.finished += 1;
-        let v = NodeId::from_index(vi as usize);
-        for &s in dag.successors(v) {
-            engine.ws.remaining_preds[s.index()] -= 1;
-            if engine.ws.remaining_preds[s.index()] == 0 {
-                engine.release(s, now);
-            }
-        }
+        ws.finished += 1;
+        ws.complete(dag, NodeId::from_index(vi as usize), now);
     }
 
     if ws.finished != n {
@@ -388,56 +401,87 @@ enum ResourceKey {
     Accel(usize),
 }
 
-struct EngineRun<'a, 'w> {
-    dag: &'a Dag,
-    ws: &'w mut SimWorkspace,
-}
-
-impl EngineRun<'_, '_> {
+impl SimWorkspace {
     fn start(&mut self, v: NodeId, now: Ticks, key: ResourceKey) {
-        let finish = now + self.dag.wcet(v);
-        self.ws
-            .running
+        let finish = now + self.slots[v.index()].wcet;
+        self.running
             .push(Reverse((finish.get(), v.index() as u32, key)));
-        let resource = match key {
-            ResourceKey::Host(c) => Resource::HostCore(c),
-            ResourceKey::Accel(d) => Resource::Accelerator(d),
-        };
-        self.ws.intervals.push(Interval {
-            node: v,
-            start: now,
-            finish,
-            resource,
-            ready: self.ws.ready_time[v.index()],
-        });
+        self.makespan = self.makespan.max(finish);
+        if self.log {
+            let resource = match key {
+                ResourceKey::Host(c) => Resource::HostCore(c),
+                ResourceKey::Accel(d) => Resource::Accelerator(d),
+            };
+            self.intervals.push(Interval {
+                node: v,
+                start: now,
+                finish,
+                resource,
+                ready: self.ready_time[v.index()],
+            });
+        }
     }
 
-    /// A node became ready: dispatch to a device queue, instant-complete,
-    /// or queue for the host.
-    fn release(&mut self, v: NodeId, now: Ticks) {
-        self.ws.ready_time[v.index()] = now;
-        let wcet = self.dag.wcet(v);
-        if wcet.is_zero() {
-            self.ws.intervals.push(Interval {
+    /// A node became ready: queue it for a device or the host, or — for a
+    /// zero-WCET node — complete it on the spot and cascade to its
+    /// successors.
+    fn release(&mut self, dag: &Dag, v: NodeId, now: Ticks) {
+        if self.settle(v, now) {
+            self.complete(dag, v, now);
+        }
+    }
+
+    /// `v` finished at `now`: releases every successor whose last
+    /// predecessor it was. Zero-WCET successors complete instantly and
+    /// cascade further; the cascade walks an explicit frame stack in the
+    /// pre-order of a recursive depth-first walk (successor slice order),
+    /// so the release order — which `BreadthFirst` and `RandomTieBreak`
+    /// picks depend on — is that of the recursive formulation, and no
+    /// chain of zero-WCET nodes can overflow the call stack.
+    fn complete(&mut self, dag: &Dag, v: NodeId, now: Ticks) {
+        self.release_stack.push((v, 0));
+        while let Some(frame) = self.release_stack.last_mut() {
+            let Some(&s) = dag.successors(frame.0).get(frame.1 as usize) else {
+                self.release_stack.pop();
+                continue;
+            };
+            frame.1 += 1;
+            let slot = &mut self.slots[s.index()];
+            slot.remaining -= 1;
+            if slot.remaining == 0 && self.settle(s, now) {
+                self.release_stack.push((s, 0));
+            }
+        }
+    }
+
+    /// Records `v`'s readiness and dispatches it; returns `true` if `v`
+    /// has zero WCET and so completed instantly (its successors are then
+    /// the caller's to release).
+    fn settle(&mut self, v: NodeId, now: Ticks) -> bool {
+        let slot = self.slots[v.index()];
+        if !slot.wcet.is_zero() {
+            if self.log {
+                self.ready_time[v.index()] = now;
+            }
+            if slot.offloaded {
+                self.ready_accel.push_back(v);
+            } else {
+                self.ready_host.push(v);
+            }
+            return false;
+        }
+        if self.log {
+            self.intervals.push(Interval {
                 node: v,
                 start: now,
                 finish: now,
                 resource: Resource::Instant,
                 ready: now,
             });
-            self.ws.finished += 1;
-            for i in 0..self.dag.successors(v).len() {
-                let s = self.dag.successors(v)[i];
-                self.ws.remaining_preds[s.index()] -= 1;
-                if self.ws.remaining_preds[s.index()] == 0 {
-                    self.release(s, now);
-                }
-            }
-        } else if self.ws.is_offloaded[v.index()] {
-            self.ws.ready_accel.push(v);
-        } else {
-            self.ws.ready_host.push(v);
         }
+        self.makespan = self.makespan.max(now);
+        self.finished += 1;
+        true
     }
 }
 

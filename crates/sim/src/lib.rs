@@ -11,7 +11,7 @@
 //! * [`Platform`] — core count + whether an accelerator exists;
 //! * [`policy`] — pluggable ready-queue disciplines (breadth-first /
 //!   depth-first / critical-path-first / seeded-random for worst-case
-//!   exploration);
+//!   exploration), choosing by rank from the [`ReadyQueue`];
 //! * [`simulate`] — the engine; produces a [`SimResult`] with makespan and
 //!   the full per-node schedule;
 //! * [`trace`] — schedule validation (precedence, capacity,
@@ -49,6 +49,7 @@ mod engine;
 mod error;
 pub mod metrics;
 pub mod policy;
+mod ready;
 pub mod sporadic;
 pub mod trace;
 
@@ -57,3 +58,4 @@ pub use engine::{
     Interval, Platform, Resource, SimResult, SimWorkspace,
 };
 pub use error::SimError;
+pub use ready::ReadyQueue;

@@ -5,9 +5,11 @@
 //! ready node a free core takes next.
 
 use hetrta_dag::algo::CriticalPath;
-use hetrta_dag::{Dag, NodeId};
+use hetrta_dag::Dag;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::ReadyQueue;
 
 /// Context handed to a policy when it must pick a ready node.
 #[derive(Debug)]
@@ -20,15 +22,18 @@ pub struct PolicyContext<'a> {
 
 /// A ready-queue discipline.
 ///
-/// The engine maintains the ready queue as a vector ordered by *readiness
-/// time* (FIFO arrival order, ties broken deterministically); `choose`
-/// returns the index of the node a free core should execute next.
+/// The engine maintains the host ready queue in *readiness order* (FIFO
+/// arrival order, ties broken deterministically) and hands policies a
+/// read-only view of it: [`ReadyQueue::len`], [`ReadyQueue::get`] by rank
+/// and in-order [`ReadyQueue::iter`]. `choose` returns the *rank* (0 =
+/// released earliest) of the node a free core should execute next; the
+/// engine removes it in `O(log n)`.
 ///
-/// Implementations must return an index `< ready.len()`; the engine panics
+/// Implementations must return a rank `< ready.len()`; the engine panics
 /// otherwise (a policy bug, not a recoverable condition).
 pub trait Policy {
-    /// Picks the index of the next node to run from the ready queue.
-    fn choose(&mut self, ready: &[NodeId], ctx: &PolicyContext<'_>) -> usize;
+    /// Picks the rank of the next node to run from the ready queue.
+    fn choose(&mut self, ready: &ReadyQueue, ctx: &PolicyContext<'_>) -> usize;
 
     /// Human-readable policy name (used in traces and reports).
     fn name(&self) -> &'static str;
@@ -55,7 +60,7 @@ impl BreadthFirst {
 }
 
 impl Policy for BreadthFirst {
-    fn choose(&mut self, _ready: &[NodeId], _ctx: &PolicyContext<'_>) -> usize {
+    fn choose(&mut self, _ready: &ReadyQueue, _ctx: &PolicyContext<'_>) -> usize {
         0
     }
 
@@ -78,7 +83,7 @@ impl DepthFirst {
 }
 
 impl Policy for DepthFirst {
-    fn choose(&mut self, ready: &[NodeId], _ctx: &PolicyContext<'_>) -> usize {
+    fn choose(&mut self, ready: &ReadyQueue, _ctx: &PolicyContext<'_>) -> usize {
         ready.len() - 1
     }
 
@@ -110,11 +115,11 @@ impl Policy for CriticalPathFirst {
         self.tails = dag.node_ids().map(|v| cp.tail(v).get()).collect();
     }
 
-    fn choose(&mut self, ready: &[NodeId], _ctx: &PolicyContext<'_>) -> usize {
+    fn choose(&mut self, ready: &ReadyQueue, _ctx: &PolicyContext<'_>) -> usize {
         ready
             .iter()
             .enumerate()
-            .max_by_key(|(i, v)| {
+            .max_by_key(|&(i, v)| {
                 (
                     self.tails.get(v.index()).copied().unwrap_or(0),
                     usize::MAX - i,
@@ -155,7 +160,7 @@ impl Policy for RandomTieBreak {
         self.rng = StdRng::seed_from_u64(self.seed);
     }
 
-    fn choose(&mut self, ready: &[NodeId], _ctx: &PolicyContext<'_>) -> usize {
+    fn choose(&mut self, ready: &ReadyQueue, _ctx: &PolicyContext<'_>) -> usize {
         self.rng.gen_range(0..ready.len())
     }
 
@@ -182,7 +187,7 @@ mod tests {
     #[test]
     fn breadth_first_picks_head() {
         let dag = ctx_dag();
-        let ready = vec![NodeId::from_index(1), NodeId::from_index(2)];
+        let ready = ReadyQueue::of(&[1, 2]);
         let ctx = PolicyContext { dag: &dag, now: 0 };
         assert_eq!(BreadthFirst::new().choose(&ready, &ctx), 0);
         assert_eq!(BreadthFirst::new().name(), "breadth-first");
@@ -191,7 +196,7 @@ mod tests {
     #[test]
     fn depth_first_picks_tail() {
         let dag = ctx_dag();
-        let ready = vec![NodeId::from_index(1), NodeId::from_index(2)];
+        let ready = ReadyQueue::of(&[1, 2]);
         let ctx = PolicyContext { dag: &dag, now: 0 };
         assert_eq!(DepthFirst::new().choose(&ready, &ctx), 1);
     }
@@ -202,18 +207,18 @@ mod tests {
         let mut p = CriticalPathFirst::new();
         p.prepare(&dag);
         // node 2 has tail 9, node 1 tail 1
-        let ready = vec![NodeId::from_index(1), NodeId::from_index(2)];
+        let ready = ReadyQueue::of(&[1, 2]);
         let ctx = PolicyContext { dag: &dag, now: 0 };
         assert_eq!(p.choose(&ready, &ctx), 1);
         // first-index tie-break
-        let ready_same = vec![NodeId::from_index(1), NodeId::from_index(1)];
+        let ready_same = ReadyQueue::of(&[1, 1]);
         assert_eq!(p.choose(&ready_same, &ctx), 0);
     }
 
     #[test]
     fn random_policy_is_reproducible_after_prepare() {
         let dag = ctx_dag();
-        let ready: Vec<NodeId> = (0..3).map(NodeId::from_index).collect();
+        let ready = ReadyQueue::of(&[0, 1, 2]);
         let ctx = PolicyContext { dag: &dag, now: 0 };
         let mut p1 = RandomTieBreak::new(42);
         let mut p2 = RandomTieBreak::new(42);
