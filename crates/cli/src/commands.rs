@@ -15,8 +15,8 @@ use hetrta_dag::dot::{to_dot, DotOptions};
 use hetrta_dag::io::{parse_task, render_task, TaskKind};
 use hetrta_dag::{HeteroDagTask, NodeId, Ticks};
 use hetrta_engine::{
-    AnalysisSelection, CellKind, EngineBuilder, GeneratorPreset, SweepEvent, SweepSpec, TestKind,
-    TraceRecorder,
+    AnalysisSelection, CellKind, EngineBuilder, GeneratorPreset, SessionConfig, SweepEvent,
+    SweepHandle, SweepSpec, TestKind, TraceRecorder,
 };
 use hetrta_exact::{lp, solve, SolverConfig};
 use hetrta_gen::offload::{make_hetero_task, CoffSizing, OffloadSelection};
@@ -500,6 +500,13 @@ pub const COMMANDS: &[CommandSpec] = &[
                 value: Some("SEED"),
                 help: "arm this worker's deterministic fault-injection plane with SEED \
                        (a coordinator running --chaos forwards a derived seed here)",
+                ..FlagSpec::DEFAULT
+            },
+            FlagSpec {
+                name: "--die-after",
+                value: Some("N"),
+                help: "exit abruptly right after sending the N-th result \
+                       (a coordinator running --chaos sets it to crash one worker)",
                 ..FlagSpec::DEFAULT
             },
         ],
@@ -1295,82 +1302,129 @@ fn engine_sweep_cmd(args: &ParsedArgs) -> Result<String, String> {
     }
 
     let chaos = chaos_plan(args)?;
+    let recorder = trace_recorder(args);
+    let engine = sweep_engine(args, threads, chaos.as_ref(), recorder.as_ref())?;
+    let session = SessionConfig {
+        journal: journal_config(args),
+        ..SessionConfig::quiet()
+    };
+    let out = if args.has("--progress") {
+        run_with_progress(&engine, &spec, session)?
+    } else {
+        engine
+            .submit_with(&spec, session)
+            .and_then(SweepHandle::wait)
+            .map_err(|e| e.to_string())?
+    };
+
+    let mut text = render_cells(args, &out.aggregate.cells, &spec.analyses);
+    if let (Some(dir), Some(journal)) = (args.value_of("--journal"), out.stats.journal) {
+        let _ = writeln!(
+            text,
+            "journal: {} of {} jobs replayed from {dir}, {} executed, \
+             {} journal write failures",
+            journal.replayed,
+            out.stats.jobs,
+            out.stats.jobs - journal.replayed,
+            journal.write_failures,
+        );
+    }
+    text.push_str(&out.stats.render());
+    write_trace(args, recorder.as_deref(), &mut text)?;
+    push_metrics_and_faults(args, &engine, chaos.as_deref(), &mut text);
+    Ok(text)
+}
+
+/// The in-process engine of a local or `--shard` sweep: `--threads`,
+/// `--cache-dir`, the `--chaos` plan and the trace recorder.
+fn sweep_engine(
+    args: &ParsedArgs,
+    threads: usize,
+    chaos: Option<&std::sync::Arc<hetrta_engine::FaultPlan>>,
+    recorder: Option<&std::sync::Arc<TraceRecorder>>,
+) -> Result<hetrta_engine::Engine, String> {
     let mut builder = EngineBuilder::new().threads(threads);
-    if let Some(plan) = &chaos {
+    if let Some(plan) = chaos {
         builder = builder.with_fault_plan(std::sync::Arc::clone(plan));
     }
     if let Some(dir) = args.value_of("--cache-dir") {
         builder = builder.with_cache_dir(dir);
     }
-    // A recorder is attached only when something consumes it: a --trace
-    // output file, or structured stderr logging via HETRTA_LOG. Without
-    // either, the engine keeps its zero-cost no-op recorder.
-    let trace_path = args.value_of("--trace");
-    let stderr_log = std::env::var("HETRTA_LOG").is_ok_and(|v| !v.is_empty() && v != "0");
-    let recorder = (trace_path.is_some() || stderr_log)
-        .then(|| std::sync::Arc::new(TraceRecorder::new().with_stderr_log(stderr_log)));
-    if let Some(recorder) = &recorder {
+    if let Some(recorder) = recorder {
         builder = builder.with_recorder(std::sync::Arc::clone(recorder) as _);
     }
-    let engine = builder.build().map_err(|e| e.to_string())?;
+    builder.build().map_err(|e| e.to_string())
+}
 
-    let (aggregate, run_summary) = if let Some(dir) = args.value_of("--journal") {
-        let mut cfg = hetrta_engine::JournalConfig::new(dir);
-        if args.has("--resume") {
-            cfg = cfg.resuming();
-        }
-        let progress = args.has("--progress");
-        let out = engine
-            .run_journaled_with(&spec, &cfg, None, |completed, total, _| {
-                if progress {
-                    eprint!("\r[{completed}/{total} jobs]   ");
-                }
-            })
-            .map_err(|e| e.to_string())?;
-        if progress {
-            eprintln!("\r[{0}/{0} jobs] done        ", out.total);
-        }
-        let summary = format!(
-            "journal: {} of {} jobs replayed from {dir}, {} executed, \
-             {} journal write failures\n",
-            out.replayed, out.total, out.executed, out.journal_write_failures,
-        );
-        (out.aggregate, summary)
-    } else {
-        let out = if args.has("--progress") {
-            run_with_progress(&engine, &spec)?
-        } else {
-            engine.run(&spec).map_err(|e| e.to_string())?
-        };
-        let summary = out.stats.render();
-        (out.aggregate, summary)
-    };
+/// A recorder is attached only when something consumes it: a --trace
+/// output file, or structured stderr logging via HETRTA_LOG. Without
+/// either, the sweep keeps its zero-cost no-op recorder.
+fn trace_recorder(args: &ParsedArgs) -> Option<std::sync::Arc<TraceRecorder>> {
+    let stderr_log = std::env::var("HETRTA_LOG").is_ok_and(|v| !v.is_empty() && v != "0");
+    (args.value_of("--trace").is_some() || stderr_log)
+        .then(|| std::sync::Arc::new(TraceRecorder::new().with_stderr_log(stderr_log)))
+}
 
-    let mut text = if args.has("--csv") {
-        render_cells_csv(&aggregate.cells, &spec.analyses)
-    } else {
-        render_cells_table(&aggregate.cells)
-    };
-    text.push('\n');
-    text.push_str(&run_summary);
-    if let (Some(path), Some(recorder)) = (trace_path, &recorder) {
+/// Writes the `--trace FILE` Chrome trace, noting it in `text`.
+fn write_trace(
+    args: &ParsedArgs,
+    recorder: Option<&TraceRecorder>,
+    text: &mut String,
+) -> Result<(), String> {
+    if let (Some(path), Some(recorder)) = (args.value_of("--trace"), recorder) {
         recorder
             .write_chrome_trace(path)
             .map_err(|e| format!("cannot write trace {path}: {e}"))?;
-        text.push_str(&format!(
-            "trace: {} spans written to {path} (load in Perfetto or chrome://tracing)\n",
+        let _ = writeln!(
+            text,
+            "trace: {} spans written to {path} (load in Perfetto or chrome://tracing)",
             recorder.spans().len()
-        ));
+        );
     }
+    Ok(())
+}
+
+/// Appends the `--metrics` table and the `--chaos` fault report.
+fn push_metrics_and_faults(
+    args: &ParsedArgs,
+    engine: &hetrta_engine::Engine,
+    chaos: Option<&hetrta_engine::FaultPlan>,
+    text: &mut String,
+) {
     if args.has("--metrics") {
         text.push('\n');
         text.push_str(&engine.metrics().snapshot().render_table());
     }
-    if let Some(plan) = &chaos {
+    if let Some(plan) = chaos {
         text.push('\n');
         text.push_str(&plan.report());
     }
-    Ok(text)
+}
+
+/// The cell block of a sweep's output — CSV with `--csv`, else the
+/// table — and the blank line that ends it.
+fn render_cells(
+    args: &ParsedArgs,
+    cells: &[hetrta_engine::CellSummary],
+    analyses: &AnalysisSelection,
+) -> String {
+    let mut text = if args.has("--csv") {
+        render_cells_csv(cells, analyses)
+    } else {
+        render_cells_table(cells)
+    };
+    text.push('\n');
+    text
+}
+
+/// The `--journal DIR [--resume]` journal, when one is given.
+fn journal_config(args: &ParsedArgs) -> Option<hetrta_engine::JournalConfig> {
+    let cfg = hetrta_engine::JournalConfig::new(args.value_of("--journal")?);
+    Some(if args.has("--resume") {
+        cfg.resuming()
+    } else {
+        cfg
+    })
 }
 
 /// Builds the seeded fault-injection plan when `--chaos SEED` is given.
@@ -1404,22 +1458,13 @@ fn engine_sweep_dist(
     let mut config = hetrta_dist::DistConfig::local(workers, self_launcher()?);
     config.worker_threads = threads;
     config.cache_dir = args.value_of("--cache-dir").map(Into::into);
-    if let Some(dir) = args.value_of("--journal") {
-        let mut cfg = hetrta_engine::JournalConfig::new(dir);
-        if args.has("--resume") {
-            cfg = cfg.resuming();
-        }
-        config.journal = Some(cfg);
-    }
+    config.journal = journal_config(args);
     let chaos = chaos_plan(args)?;
     config.fault = chaos.clone();
     // --trace attaches the recorder to the *coordinator*: the sweep
     // span, per-worker lanes, and the byte/re-dispatch counters land in
     // the Chrome trace (workers keep their own no-op recorders).
-    let trace_path = args.value_of("--trace");
-    let stderr_log = std::env::var("HETRTA_LOG").is_ok_and(|v| !v.is_empty() && v != "0");
-    let recorder = (trace_path.is_some() || stderr_log)
-        .then(|| std::sync::Arc::new(TraceRecorder::new().with_stderr_log(stderr_log)));
+    let recorder = trace_recorder(args);
     let dyn_recorder: &dyn hetrta_obs::Recorder = match &recorder {
         Some(recorder) => recorder.as_ref(),
         None => &hetrta_obs::NOOP,
@@ -1427,12 +1472,7 @@ fn engine_sweep_dist(
     let out = hetrta_dist::run_distributed(spec, &config, dyn_recorder, None, |_| {})
         .map_err(|e| e.to_string())?;
 
-    let mut text = if args.has("--csv") {
-        render_cells_csv(&out.aggregate.cells, &spec.analyses)
-    } else {
-        render_cells_table(&out.aggregate.cells)
-    };
-    text.push('\n');
+    let mut text = render_cells(args, &out.aggregate.cells, &spec.analyses);
     let balance: Vec<String> = out.worker_jobs.iter().map(u64::to_string).collect();
     let _ = writeln!(
         text,
@@ -1459,16 +1499,7 @@ fn engine_sweep_dist(
         text.push('\n');
         text.push_str(&plan.report());
     }
-    if let (Some(path), Some(recorder)) = (trace_path, &recorder) {
-        recorder
-            .write_chrome_trace(path)
-            .map_err(|e| format!("cannot write trace {path}: {e}"))?;
-        let _ = writeln!(
-            text,
-            "trace: {} spans written to {path} (load in Perfetto or chrome://tracing)",
-            recorder.spans().len()
-        );
-    }
+    write_trace(args, recorder.as_deref(), &mut text)?;
     Ok(text)
 }
 
@@ -1484,14 +1515,7 @@ fn engine_sweep_shard(
 ) -> Result<String, String> {
     let (shard, shards) = hetrta_dist::parse_shard(raw)?;
     let chaos = chaos_plan(args)?;
-    let mut builder = EngineBuilder::new().threads(threads);
-    if let Some(plan) = &chaos {
-        builder = builder.with_fault_plan(std::sync::Arc::clone(plan));
-    }
-    if let Some(dir) = args.value_of("--cache-dir") {
-        builder = builder.with_cache_dir(dir);
-    }
-    let engine = builder.build().map_err(|e| e.to_string())?;
+    let engine = sweep_engine(args, threads, chaos.as_ref(), None)?;
     let (cells, jobs) = spec.expand();
     let total = jobs.len();
     let indices = hetrta_dist::shard_indices(total, shard, shards);
@@ -1499,27 +1523,13 @@ fn engine_sweep_shard(
     let ran = engine
         .run_job_subset(spec, &indices, |result| aggregator.accept(result))
         .map_err(|e| e.to_string())?;
-    let aggregate = aggregator.partial();
-
-    let mut text = if args.has("--csv") {
-        render_cells_csv(&aggregate.cells, &spec.analyses)
-    } else {
-        render_cells_table(&aggregate.cells)
-    };
-    text.push('\n');
+    let mut text = render_cells(args, &aggregator.partial().cells, &spec.analyses);
     let _ = writeln!(
         text,
         "shard {shard}/{shards}: ran {ran} of {total} jobs \
          (merge all {shards} shards for the full aggregate)"
     );
-    if args.has("--metrics") {
-        text.push('\n');
-        text.push_str(&engine.metrics().snapshot().render_table());
-    }
-    if let Some(plan) = &chaos {
-        text.push('\n');
-        text.push_str(&plan.report());
-    }
+    push_metrics_and_faults(args, &engine, chaos.as_deref(), &mut text);
     Ok(text)
 }
 
@@ -1537,6 +1547,13 @@ fn dist_worker_cmd(args: &ParsedArgs) -> Result<String, String> {
         cache_dir: args.value_of("--cache-dir").map(Into::into),
         heartbeat_every: std::time::Duration::from_millis(heartbeat_ms.max(1)),
         chaos: parse_chaos_seed(args)?,
+        die_after: args
+            .value_of("--die-after")
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| format!("invalid result count `{raw}`"))
+            })
+            .transpose()?,
     };
     let jobs = hetrta_dist::run_worker(&config, &hetrta_obs::NOOP).map_err(|e| e.to_string())?;
     Ok(format!("dist worker: {jobs} jobs computed\n"))
@@ -1554,21 +1571,22 @@ fn parse_chaos_seed(args: &ParsedArgs) -> Result<Option<u64>, String> {
     Ok(Some(seed))
 }
 
-/// Submits the sweep as a session and renders `PartialAggregate`
-/// snapshots to stderr as they stream in (stdout stays clean for the
-/// final table/CSV).
+/// Submits the sweep as a session (with `session`'s journal) and
+/// renders `PartialAggregate` snapshots to stderr as they stream in
+/// (stdout stays clean for the final table/CSV).
 fn run_with_progress(
     engine: &hetrta_engine::Engine,
     spec: &SweepSpec,
+    session: SessionConfig,
 ) -> Result<hetrta_engine::EngineOutput, String> {
     let total = spec.job_count();
     // ~50 snapshots over the sweep, at least one per job for tiny runs.
-    // Per-job events are off: the renderer only consumes the snapshots,
-    // so 2·jobs queue pushes and wakeups would be pure overhead.
-    let every = (total / 50).max(1);
-    let config = hetrta_engine::SessionConfig {
-        job_events: false,
-        ..hetrta_engine::SessionConfig::with_partials(every)
+    // Per-job events are off (as in `session`): the renderer only
+    // consumes the snapshots, so 2·jobs queue pushes and wakeups would be
+    // pure overhead.
+    let config = SessionConfig {
+        partial_every: Some((total / 50).max(1)),
+        ..session
     };
     let handle = engine
         .submit_with(spec, config)
@@ -1713,12 +1731,7 @@ fn submit_cmd(args: &ParsedArgs) -> Result<String, String> {
         " ".repeat(48)
     );
 
-    let mut text = if args.has("--csv") {
-        render_cells_csv(&outcome.aggregate.cells, &spec.analyses)
-    } else {
-        render_cells_table(&outcome.aggregate.cells)
-    };
-    text.push('\n');
+    let mut text = render_cells(args, &outcome.aggregate.cells, &spec.analyses);
     let _ = writeln!(
         text,
         "remote: {} jobs on {addr} as tenant `{tenant}`, cancelled={}, events dropped={}",
@@ -2073,7 +2086,9 @@ fn render_cells_table(cells: &[hetrta_engine::CellSummary]) -> String {
 fn render_cells_csv(cells: &[hetrta_engine::CellSummary], analyses: &AnalysisSelection) -> String {
     let mut out = String::new();
     let opt = |v: Option<f64>| v.map_or(String::new(), |x| format!("{x:.6}"));
-    // `R_het` comes from `het` only; `R_hom(τ)` from `het` or `hom`.
+    let count = |v: Option<usize>| v.map_or(String::new(), |n| n.to_string());
+    // `R_het` and the scenario, improvement and schedulability columns
+    // come from `het` only; `R_hom(τ)` from `het` or `hom`.
     let het = analyses.contains("het");
     let hom = het || analyses.contains("hom");
     match cells.first().map(|c| &c.kind) {
@@ -2133,21 +2148,25 @@ fn render_cells_csv(cells: &[hetrta_engine::CellSummary], analyses: &AnalysisSel
                     continue;
                 };
                 let (s1, s21, s22) = t.scenario_shares(cell.samples);
+                let het_cell = |v: f64| opt(het.then_some(v));
                 let accuracy = t.accuracy.as_ref();
                 let suspend = t.suspend.as_ref();
                 let sampled = t.sampled.as_ref();
                 let anytime = t.anytime.as_ref();
                 let _ = writeln!(
                     out,
-                    "{},{},{},{s1:.6},{s21:.6},{s22:.6},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+                    "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
                     cell.m,
                     cell.grid_value,
                     cell.samples,
-                    t.mean_improvement,
-                    t.max_improvement,
-                    t.schedulable_het,
-                    t.schedulable_hom,
-                    opt(het.then_some(t.mean_r_het)),
+                    het_cell(s1),
+                    het_cell(s21),
+                    het_cell(s22),
+                    het_cell(t.mean_improvement),
+                    het_cell(t.max_improvement),
+                    count(het.then_some(t.schedulable_het)),
+                    count(het.then_some(t.schedulable_hom)),
+                    het_cell(t.mean_r_het),
                     opt(hom.then_some(t.mean_r_hom)),
                     opt(t.mean_sim_makespan),
                     opt(t.mean_sim_transformed),

@@ -81,3 +81,36 @@ fn hom_alone_fills_only_the_homogeneous_bound() {
         }
     }
 }
+
+/// The columns only `het` fills besides `mean_r_het`.
+const HET_ONLY: [&str; 7] = [
+    "s1",
+    "s21",
+    "s22",
+    "mean_improvement",
+    "max_improvement",
+    "schedulable_het",
+    "schedulable_hom",
+];
+
+#[test]
+fn scenario_and_schedulability_columns_need_het() {
+    for analyses in ["sampled,anytime", "hom,sampled"] {
+        let rows = sweep_csv(analyses);
+        for name in HET_ONLY {
+            assert!(
+                column(&rows, name).iter().all(String::is_empty),
+                "{name} must stay empty without het ({analyses}): {rows:?}"
+            );
+        }
+    }
+    let with_het = sweep_csv("het,sampled");
+    for name in HET_ONLY {
+        assert!(
+            column(&with_het, name)
+                .iter()
+                .all(|c| c.parse::<f64>().is_ok()),
+            "{name} must be filled with het: {with_het:?}"
+        );
+    }
+}

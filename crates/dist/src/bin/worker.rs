@@ -17,6 +17,7 @@ fn parse_args(args: &[String]) -> Result<WorkerConfig, String> {
         cache_dir: None,
         heartbeat_every: WorkerConfig::DEFAULT_HEARTBEAT,
         chaos: None,
+        die_after: None,
     };
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
@@ -52,6 +53,13 @@ fn parse_args(args: &[String]) -> Result<WorkerConfig, String> {
                     .map_err(|_| format!("{flag} needs a seed (decimal or 0x hex)"))?;
                 config.chaos = Some(seed);
             }
+            "--die-after" => {
+                config.die_after = Some(
+                    value("result count")?
+                        .parse()
+                        .map_err(|_| format!("{flag} needs a number"))?,
+                );
+            }
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -69,7 +77,8 @@ fn main() {
             eprintln!("hetrta-dist-worker: {msg}");
             eprintln!(
                 "usage: hetrta-dist-worker --connect <host:port> [--worker N] \
-                 [--threads N] [--cache-dir DIR] [--heartbeat-ms N] [--chaos SEED]"
+                 [--threads N] [--cache-dir DIR] [--heartbeat-ms N] [--chaos SEED] \
+                 [--die-after N]"
             );
             std::process::exit(2);
         }

@@ -63,7 +63,8 @@ pub enum Launch {
 
 /// Command line that starts one worker process. The coordinator appends
 /// the standard flags (`--connect`, `--worker`, `--threads`,
-/// `--heartbeat-ms` and, when configured, `--cache-dir`) after `args`.
+/// `--heartbeat-ms` and, when configured, `--cache-dir`, `--chaos` and
+/// `--die-after`) after `args`.
 #[derive(Debug, Clone)]
 pub struct WorkerLauncher {
     /// Program to execute.
@@ -74,7 +75,13 @@ pub struct WorkerLauncher {
 }
 
 impl WorkerLauncher {
-    fn spawn(&self, config: &DistConfig, addr: &str, worker: usize) -> Result<Child, DistError> {
+    fn spawn(
+        &self,
+        config: &DistConfig,
+        addr: &str,
+        worker: usize,
+        die_after: Option<u64>,
+    ) -> Result<Child, DistError> {
         let mut cmd = Command::new(&self.program);
         cmd.args(&self.args)
             .arg("--connect")
@@ -94,6 +101,9 @@ impl WorkerLauncher {
         }
         if let Some(plan) = &config.fault {
             cmd.arg("--chaos").arg(format!("{:#x}", plan.seed()));
+        }
+        if let Some(k) = die_after {
+            cmd.arg("--die-after").arg(k.to_string());
         }
         cmd.spawn()
             .map_err(|e| DistError::Io(format!("spawn worker {}: {e}", self.program.display())))
@@ -126,9 +136,11 @@ pub struct DistConfig {
     pub respawn_backoff: Duration,
     /// Emit a [`DistProgress::Partial`] every this many completed jobs.
     pub partial_every: Option<usize>,
-    /// Fault-injection hook: SIGKILL worker `.0`'s child after the
-    /// coordinator has accepted `.1` of its jobs. Test-only; `None` in
-    /// production.
+    /// Fault-injection hook: worker `.0`'s first process dies abruptly
+    /// (`--die-after`: no shard-done, no goodbye) right after sending its
+    /// `.1`-th result, so the death lands while it still owes jobs however
+    /// fast they run, and the coordinator must notice the hangup like any
+    /// crash. Spawned workers only. Test-only; `None` in production.
     pub chaos_kill_after: Option<(usize, u64)>,
     /// Durable sweep journal: when set, every accepted job is recorded
     /// (write-ahead, before aggregation) and an interrupted run resumes
@@ -286,23 +298,18 @@ pub fn run_distributed(
     let total = jobs.len();
     drop(jobs); // workers re-expand; the coordinator only needs the count
     let mut aggregator = Aggregator::new(cells, total, spec.cell_shape());
-    let mut done = vec![false; total];
 
     // Open the durable journal (if configured) before any process is
     // spawned: replayed jobs are marked done up front so the shards
     // dispatched below only ever contain the remainder.
-    let journal = match &config.journal {
+    let (journal, mut done) = match &config.journal {
         Some(cfg) => {
-            let (journal, replay) = SweepJournal::open(cfg, spec, total)?;
-            for result in replay.results {
-                done[result.index] = true;
-                aggregator.accept(result);
-            }
-            Some(journal)
+            let (journal, done) = SweepJournal::resume_into(cfg, spec, &mut aggregator)?;
+            (Some(journal), done)
         }
-        None => None,
+        None => (None, vec![false; total]),
     };
-    let replayed = done.iter().filter(|d| **d).count();
+    let replayed = aggregator.received();
 
     let listener = match &config.launch {
         Launch::Spawn(_) => TcpListener::bind("127.0.0.1:0"),
@@ -343,6 +350,14 @@ pub fn run_distributed(
             jobs: 0,
         })
         .collect();
+    // The explicit kill-at-job-K hook wins; otherwise a fault plan
+    // draws a deterministic (worker, K) from its own stream.
+    let chaos = config.chaos_kill_after.or_else(|| {
+        config.fault.as_deref().map(|plan| {
+            let bits = plan.draw("dist.kill_worker");
+            ((bits as usize) % config.workers, 1 + (bits >> 16) % 4)
+        })
+    });
     for (w, slot) in slots.iter_mut().enumerate() {
         recorder.name_lane(
             u32::try_from(w).unwrap_or(u32::MAX).saturating_add(1),
@@ -351,21 +366,16 @@ pub fn run_distributed(
         // A fully-replayed sweep needs no fleet at all.
         if replayed < total {
             if let Launch::Spawn(launcher) = &config.launch {
-                slot.child = Some(launcher.spawn(config, &addr, w)?);
+                // Only the slot's first process carries the kill;
+                // replacements run clean.
+                let die_after = chaos.filter(|&(victim, _)| victim == w).map(|(_, k)| k);
+                slot.child = Some(launcher.spawn(config, &addr, w, die_after)?);
                 slot.last_seen = Instant::now();
             }
         }
     }
 
     let mut stats = Stats::default();
-    // The explicit kill-at-job-K hook wins; otherwise a fault plan
-    // draws a deterministic (worker, K) from its own stream.
-    let mut chaos = config.chaos_kill_after.or_else(|| {
-        config.fault.as_deref().map(|plan| {
-            let bits = plan.draw("dist.kill_worker");
-            ((bits as usize) % config.workers, 1 + (bits >> 16) % 4)
-        })
-    });
     let mut seq = 0u64;
     let mut since_partial = 0usize;
     let mut completed = replayed;
@@ -428,17 +438,11 @@ pub fn run_distributed(
                         cache_hit: result.cache_hit,
                         wall_time: result.wall_time,
                     });
-                    let result = result.into_result(worker);
-                    // Write-ahead: the journal records the job before the
-                    // aggregate absorbs it, so a crash between the two
-                    // replays (dedups) rather than loses it.
-                    let keyframe_due = journal.as_ref().is_some_and(|j| j.record_done(&result));
-                    aggregator.accept(result);
-                    if keyframe_due && completed < total {
-                        if let Some(j) = &journal {
-                            j.record_keyframe(completed, aggregator.partial());
-                        }
-                    }
+                    SweepJournal::accept(
+                        journal.as_ref(),
+                        &mut aggregator,
+                        result.into_result(worker),
+                    );
                     if config
                         .partial_every
                         .is_some_and(|every| since_partial >= every)
@@ -453,14 +457,6 @@ pub fn run_distributed(
                             },
                         });
                         seq += 1;
-                    }
-                    if chaos.is_some_and(|(w, after)| w == worker && slots[worker].jobs >= after) {
-                        chaos = None;
-                        // SIGKILL, not a polite shutdown: the fault
-                        // tests assert recovery from the worst case.
-                        if let Some(child) = &mut slots[worker].child {
-                            let _ = child.kill();
-                        }
                     }
                 }
                 // Heartbeat/ShardDone only refresh last_seen (above);
@@ -538,11 +534,10 @@ pub fn run_distributed(
     let _ = TcpStream::connect(&addr);
     let _ = accept_thread.join();
 
-    // Seal the journal's active segment so every record written so far
-    // sits in a durable, atomically renamed file — whether the sweep
-    // completed or was cancelled mid-flight.
-    if let Some(j) = &journal {
-        j.seal();
+    // Close the journal whether the sweep completed or was cancelled
+    // mid-flight: its records must survive this process either way.
+    if let Some(journal) = journal {
+        journal.close();
     }
 
     recorder.record_counter("dist.bytes_tx", stats.bytes_tx);
@@ -641,7 +636,7 @@ fn handle_death(
             slot.respawns += 1;
             stats.respawns += 1;
             recorder.record_counter("dist.respawn", 1);
-            slot.child = Some(launcher.spawn(config, addr, worker)?);
+            slot.child = Some(launcher.spawn(config, addr, worker, None)?);
             slot.last_seen = Instant::now();
             slot.connected_once = false;
             // The orphans stay on this slot; the replacement receives

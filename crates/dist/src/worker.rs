@@ -48,6 +48,10 @@ pub struct WorkerConfig {
     /// per-worker stream is derived from `(seed, slot)` so fleet
     /// members don't fault in lockstep.
     pub chaos: Option<u64>,
+    /// Kill switch (the `--die-after` flag): exit abruptly — no
+    /// shard-done, no goodbye — right after sending this many results.
+    /// The coordinator's fault hooks set it to crash a worker mid-shard.
+    pub die_after: Option<u64>,
 }
 
 impl WorkerConfig {
@@ -139,7 +143,15 @@ pub fn run_worker(config: &WorkerConfig, recorder: &dyn Recorder) -> Result<u64,
         })
     };
 
-    let outcome = assignment_loop(&mut reader, &engine, &writer, &jobs_done, &fault, recorder);
+    let outcome = assignment_loop(
+        &mut reader,
+        &engine,
+        &writer,
+        &jobs_done,
+        &fault,
+        config.die_after,
+        recorder,
+    );
     stop.store(true, Ordering::Relaxed);
     // Unblock quickly: the heartbeat thread wakes at most one cadence
     // later and exits on the stop flag.
@@ -153,6 +165,7 @@ fn assignment_loop(
     writer: &Arc<Mutex<TcpStream>>,
     jobs_done: &AtomicU64,
     fault: &Option<Arc<FaultPlan>>,
+    die_after: Option<u64>,
     recorder: &dyn Recorder,
 ) -> Result<(), DistError> {
     loop {
@@ -168,7 +181,11 @@ fn assignment_loop(
                     // read surface the hangup.
                     let _ = msg.write_to_with(&mut *lock(writer), faults_of(fault));
                     completed += 1;
-                    jobs_done.fetch_add(1, Ordering::Relaxed);
+                    let sent = jobs_done.fetch_add(1, Ordering::Relaxed) + 1;
+                    if die_after == Some(sent) {
+                        // 137 = 128 + SIGKILL, what a killed worker reports.
+                        std::process::exit(137);
+                    }
                 })?;
                 DistMsg::ShardDone { completed }
                     .write_to_with(&mut *lock(writer), faults_of(fault))?;

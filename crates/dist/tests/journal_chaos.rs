@@ -47,7 +47,7 @@ fn resumed_coordinator_replays_the_journal_and_executes_only_the_remainder() {
         let cfg = JournalConfig::new(&dir);
         let (journal, replay) =
             SweepJournal::open(&cfg, &spec, total).expect("fresh journal opens");
-        assert!(replay.results.is_empty());
+        assert!(replay.is_empty());
         Engine::new(1)
             .run_job_subset(&spec, &journaled, |result| {
                 journal.record_done(&result);

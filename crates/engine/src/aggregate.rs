@@ -388,8 +388,6 @@ pub struct Aggregator {
     shape: CellShape,
     slots: Vec<Option<JobResult>>,
     received: usize,
-    cache_hits: u64,
-    skipped: u64,
     first_error: Option<(usize, String)>,
 }
 
@@ -402,8 +400,6 @@ impl Aggregator {
             shape,
             slots: vec![None; job_count],
             received: 0,
-            cache_hits: 0,
-            skipped: 0,
             first_error: None,
         }
     }
@@ -411,22 +407,14 @@ impl Aggregator {
     /// Accepts one streamed result (any order).
     pub fn accept(&mut self, result: JobResult) {
         self.received += 1;
-        if result.cache_hit {
-            self.cache_hits += 1;
-        }
-        match &result.metrics {
-            Ok(JobMetrics::Skipped) => self.skipped += 1,
-            Ok(JobMetrics::Outcomes(_)) => {}
-            Err(message) => {
-                let candidate = (result.index, message.clone());
-                // Deterministic error selection: lowest job index wins.
-                if self
-                    .first_error
-                    .as_ref()
-                    .is_none_or(|(i, _)| candidate.0 < *i)
-                {
-                    self.first_error = Some(candidate);
-                }
+        if let Err(message) = &result.metrics {
+            // Deterministic error selection: lowest job index wins.
+            if self
+                .first_error
+                .as_ref()
+                .is_none_or(|(i, _)| result.index < *i)
+            {
+                self.first_error = Some((result.index, message.clone()));
             }
         }
         let index = result.index;
@@ -439,16 +427,10 @@ impl Aggregator {
         self.received
     }
 
-    /// Jobs whose results came fully from the caches.
+    /// Jobs of the sweep this aggregator collects (its expansion size).
     #[must_use]
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
-    /// Jobs whose sample the generator declined.
-    #[must_use]
-    pub fn skipped(&self) -> u64 {
-        self.skipped
+    pub fn job_count(&self) -> usize {
+        self.slots.len()
     }
 
     /// A snapshot aggregate over every result received *so far* — the

@@ -31,6 +31,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once};
 
+use hetrta_api::wire::fnv64;
 use hetrta_api::AnalysisOutcome;
 use hetrta_fault::FaultPlan;
 use hetrta_obs::{span, Counter, MetricsRegistry, NoopRecorder, Recorder};
@@ -43,16 +44,6 @@ const MAGIC: &str = "hetrta-cache v1";
 
 /// Identity-entry payload for a declined sample.
 const SKIP: &str = "skip";
-
-/// FNV-1a over the payload bytes — the per-entry corruption check.
-fn fnv64(payload: &str) -> u64 {
-    let mut state: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in payload.bytes() {
-        state ^= u64::from(byte);
-        state = state.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    state
-}
 
 /// A disk-persistent, content-addressed cache directory shared by every
 /// engine (and every process) pointed at it.
@@ -222,7 +213,7 @@ impl DiskCache {
     fn write_payload(&self, namespace: &str, key: u128, payload: &str) {
         let _span = span!(self.recorder.as_ref(), "disk.write", ns = namespace);
         let path = self.entry_path(namespace, key);
-        let mut content = format!("{MAGIC}\n{payload}\n{:016x}\n", fnv64(payload));
+        let mut content = format!("{MAGIC}\n{payload}\n{:016x}\n", fnv64(payload.as_bytes()));
         // Injected torn write: commit a truncated entry, as a crash
         // straddling write and rename could — it must later read as a
         // miss and be recomputed, never misread.
@@ -457,7 +448,8 @@ fn verify_entry(text: &str) -> Option<&str> {
     }
     let payload = lines.next()?;
     let checksum = lines.next()?;
-    if lines.next().is_some() || u64::from_str_radix(checksum, 16) != Ok(fnv64(payload)) {
+    if lines.next().is_some() || u64::from_str_radix(checksum, 16) != Ok(fnv64(payload.as_bytes()))
+    {
         return None;
     }
     Some(payload)
@@ -540,7 +532,7 @@ mod tests {
         let payload = "frobnicate 1 2 3";
         std::fs::write(
             &path,
-            format!("{MAGIC}\n{payload}\n{:016x}\n", fnv64(payload)),
+            format!("{MAGIC}\n{payload}\n{:016x}\n", fnv64(payload.as_bytes())),
         )
         .unwrap();
         assert_eq!(cache.load_result(1), None);

@@ -6,7 +6,7 @@ use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -18,7 +18,8 @@ use crate::aggregate::{Aggregator, SweepAggregate};
 use crate::cache::{CacheCounters, MemoCache};
 use crate::disk::DiskCache;
 use crate::job::{self, Job, JobMetrics, JobResult};
-use crate::pool;
+use crate::journal::{JournalStats, SweepJournal};
+use crate::pool::{self, WorkerStats};
 use crate::session::{
     EventQueue, ProgressCounters, SessionConfig, SessionShared, SweepEvent, SweepHandle,
 };
@@ -93,12 +94,6 @@ impl EngineCaches {
         let mut caches = EngineCaches::with_capacity(capacity);
         caches.disk = Some(DiskCache::open(dir).map_err(EngineError::Cache)?);
         Ok(caches)
-    }
-
-    /// The disk layer, when one is attached.
-    #[must_use]
-    pub fn disk(&self) -> Option<&DiskCache> {
-        self.disk.as_ref()
     }
 
     /// Disk-probe counters (zero when no cache directory is attached).
@@ -225,29 +220,17 @@ impl Default for EngineCaches {
     }
 }
 
-/// How the engine seeds its injector queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InjectionOrder {
-    /// Heaviest analysis kinds first, so a single expensive job does not
-    /// tail the sweep. "Heaviest" is *measured*: the engine learns a
-    /// wall-clock EWMA per registry key from finished jobs (see
-    /// [`CostModel`]) and falls back to the static
-    /// [`Analysis::cost_hint`](hetrta_api::Analysis::cost_hint) rank for
-    /// keys it has not timed yet. Aggregates are injection-order
-    /// independent, so this is the default.
-    #[default]
-    CostDescending,
-    /// Plain expansion order.
-    Expansion,
-}
-
 /// Per-registry-key wall-clock cost estimates, learned from finished jobs.
 ///
-/// Each computed (non-cached) analysis execution feeds an exponentially
-/// weighted moving average of its wall time; the injector orders jobs by
-/// these measurements instead of the static `cost_hint` rank once a key
-/// has been observed. The model is shared across every run of an engine,
-/// so a second sweep is ordered by what the first one actually measured.
+/// The engine seeds its injector heaviest analysis kinds first, so a
+/// single expensive job does not tail the sweep. "Heaviest" is
+/// *measured*: each computed (non-cached) analysis execution feeds an
+/// exponentially weighted moving average of its wall time, and keys not
+/// timed yet fall back to the static
+/// [`Analysis::cost_hint`](hetrta_api::Analysis::cost_hint) rank.
+/// Aggregates are injection-order independent. The model is shared
+/// across every run of an engine, so a second sweep is ordered by what
+/// the first one actually measured.
 #[derive(Debug, Default)]
 pub struct CostModel {
     ewma_micros: Mutex<HashMap<Arc<str>, f64>>,
@@ -290,20 +273,23 @@ impl CostModel {
     }
 }
 
-/// Statistics of one [`Engine::run`].
+/// Statistics of one sweep session ([`Engine::run`] or
+/// [`Engine::submit_with`] + [`SweepHandle::wait`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineStats {
     /// Worker threads used.
     pub threads: usize,
-    /// Jobs executed (the spec's full expansion).
+    /// Jobs of the sweep (the spec's full expansion, including any
+    /// replayed from a journal).
     pub jobs: usize,
     /// Jobs executed per worker.
     pub per_worker_jobs: Vec<u64>,
     /// Jobs each worker stole from a sibling's deque.
     pub per_worker_steals: Vec<u64>,
-    /// Jobs served entirely from the memo caches.
+    /// Executed jobs served entirely from the memo caches.
     pub cached_jobs: u64,
-    /// Jobs whose sample the generator declined (skipped by aggregation).
+    /// Executed jobs whose sample the generator declined (skipped by
+    /// aggregation).
     pub skipped_jobs: u64,
     /// Transformation-cache activity during this run.
     pub transform_cache: CacheCounters,
@@ -322,6 +308,10 @@ pub struct EngineStats {
     /// Session events discarded by the bounded drop-oldest event buffer
     /// (a slow consumer; the sweep itself is unaffected).
     pub events_dropped: u64,
+    /// Journal counters when the session ran with
+    /// [`SessionConfig::journal`] (`None` without a journal, and in live
+    /// snapshots while the sweep runs).
+    pub journal: Option<JournalStats>,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
 }
@@ -378,6 +368,15 @@ impl EngineStats {
         }
         if self.events_dropped > 0 {
             let _ = writeln!(out, "  events dropped:  {}", self.events_dropped);
+        }
+        if let Some(journal) = &self.journal {
+            let _ = writeln!(
+                out,
+                "  journal:         {} replayed, {} executed, {} write failures",
+                journal.replayed,
+                self.jobs - journal.replayed,
+                journal.write_failures,
+            );
         }
         for (worker, (jobs, steals)) in self
             .per_worker_jobs
@@ -466,9 +465,8 @@ impl CacheBaseline {
     }
 }
 
-/// Builds an [`Engine`] — worker threads, registry, cache capacity,
-/// injection order, and (the option only the builder offers) a
-/// disk-persistent cache directory.
+/// Builds an [`Engine`] — worker threads, registry, cache capacity, a
+/// disk-persistent cache directory, a recorder and a fault plan.
 ///
 /// ```no_run
 /// use hetrta_engine::EngineBuilder;
@@ -489,7 +487,6 @@ pub struct EngineBuilder {
     threads: usize,
     registry: AnalysisRegistry,
     capacity: usize,
-    injection: InjectionOrder,
     cache_dir: Option<PathBuf>,
     recorder: Option<Arc<dyn Recorder>>,
     fault: Option<Arc<hetrta_fault::FaultPlan>>,
@@ -497,15 +494,13 @@ pub struct EngineBuilder {
 
 impl EngineBuilder {
     /// A builder with the defaults of [`Engine::new`]: all cores, the
-    /// builtin registry, [`DEFAULT_CACHE_CAPACITY`], cost-descending
-    /// injection, no disk layer.
+    /// builtin registry, [`DEFAULT_CACHE_CAPACITY`], no disk layer.
     #[must_use]
     pub fn new() -> Self {
         EngineBuilder {
             threads: 0,
             registry: AnalysisRegistry::builtin(),
             capacity: DEFAULT_CACHE_CAPACITY,
-            injection: InjectionOrder::default(),
             cache_dir: None,
             recorder: None,
             fault: None,
@@ -530,13 +525,6 @@ impl EngineBuilder {
     #[must_use]
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity;
-        self
-    }
-
-    /// Injector seeding order.
-    #[must_use]
-    pub fn injection_order(mut self, injection: InjectionOrder) -> Self {
-        self.injection = injection;
         self
     }
 
@@ -636,12 +624,13 @@ impl EngineBuilder {
         }
         Ok(Engine {
             threads: pool::resolve_threads(self.threads),
-            caches: Arc::new(caches),
-            registry: Arc::new(self.registry),
-            injection: self.injection,
-            cost_model: Arc::new(CostModel::default()),
-            metrics,
-            recorder,
+            runtime: Runtime {
+                caches: Arc::new(caches),
+                registry: Arc::new(self.registry),
+                cost_model: Arc::new(CostModel::default()),
+                metrics,
+                recorder,
+            },
             active_sessions: Arc::new(AtomicUsize::new(0)),
         })
     }
@@ -669,49 +658,21 @@ impl Default for EngineBuilder {
 #[derive(Debug)]
 pub struct Engine {
     threads: usize,
-    caches: Arc<EngineCaches>,
-    registry: Arc<AnalysisRegistry>,
-    injection: InjectionOrder,
-    cost_model: Arc<CostModel>,
-    metrics: Arc<MetricsRegistry>,
-    recorder: Arc<dyn Recorder>,
+    runtime: Runtime,
     active_sessions: Arc<AtomicUsize>,
 }
 
 impl Engine {
     /// Creates an engine with `threads` workers (`0` = all available
-    /// cores) over the builtin registry.
+    /// cores) over the builtin registry — shorthand for
+    /// `EngineBuilder::new().threads(threads).build()`, which every other
+    /// configuration goes through.
     #[must_use]
     pub fn new(threads: usize) -> Self {
-        Engine::with_registry(threads, AnalysisRegistry::builtin())
-    }
-
-    /// Creates an engine over a custom registry.
-    #[must_use]
-    pub fn with_registry(threads: usize, registry: AnalysisRegistry) -> Self {
         EngineBuilder::new()
             .threads(threads)
-            .registry(registry)
             .build()
             .expect("no cache dir, cannot fail")
-    }
-
-    /// Creates an engine whose caches are bounded at (approximately)
-    /// `capacity` entries each.
-    #[must_use]
-    pub fn with_cache_capacity(threads: usize, capacity: usize) -> Self {
-        EngineBuilder::new()
-            .threads(threads)
-            .cache_capacity(capacity)
-            .build()
-            .expect("no cache dir, cannot fail")
-    }
-
-    /// Overrides the injector seeding order.
-    #[must_use]
-    pub fn with_injection_order(mut self, injection: InjectionOrder) -> Self {
-        self.injection = injection;
-        self
     }
 
     /// Worker threads this engine uses.
@@ -723,19 +684,19 @@ impl Engine {
     /// The engine's caches (counters survive across runs).
     #[must_use]
     pub fn caches(&self) -> &EngineCaches {
-        &self.caches
+        &self.runtime.caches
     }
 
     /// The registry jobs resolve their analysis keys against.
     #[must_use]
     pub fn registry(&self) -> &AnalysisRegistry {
-        &self.registry
+        &self.runtime.registry
     }
 
     /// The learned per-key cost model feeding the injector order.
     #[must_use]
     pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
+        &self.runtime.cost_model
     }
 
     /// The engine's metrics registry: cache hit/miss counters, pool
@@ -743,14 +704,14 @@ impl Engine {
     /// histograms, accumulated across every run of this engine.
     #[must_use]
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
+        &self.runtime.metrics
     }
 
     /// The recorder structured spans are routed to (a no-op recorder
     /// unless one was attached via [`EngineBuilder::with_recorder`]).
     #[must_use]
     pub fn recorder(&self) -> &Arc<dyn Recorder> {
-        &self.recorder
+        &self.runtime.recorder
     }
 
     /// Sessions currently running on this engine (submitted, not yet
@@ -791,50 +752,64 @@ impl Engine {
         self.submit_with(spec, SessionConfig::default())
     }
 
-    /// Submits `spec` with explicit observability knobs.
+    /// Submits `spec` with explicit session options: event stream,
+    /// partial snapshots and, with [`SessionConfig::journal`], a
+    /// write-ahead journal. A journaled session opens the journal here,
+    /// replays its completed jobs into the aggregator, and executes only
+    /// the remainder; the aggregate stays bitwise that of an
+    /// uninterrupted [`Engine::run`].
     ///
     /// # Errors
     ///
-    /// [`EngineError::InvalidSpec`] (see [`Engine::submit`]).
+    /// [`EngineError::InvalidSpec`] (see [`Engine::submit`]), plus — with
+    /// a journal — [`EngineError::Cache`] for an unusable or
+    /// spec-mismatched journal directory and [`EngineError::InvalidSpec`]
+    /// for a non-empty journal without
+    /// [`JournalConfig::resume`](crate::JournalConfig::resume).
     pub fn submit_with(
         &self,
         spec: &SweepSpec,
         config: SessionConfig,
     ) -> Result<SweepHandle, EngineError> {
-        let _span = span!(self.recorder.as_ref(), "sweep.submit");
+        let _span = span!(self.runtime.recorder.as_ref(), "sweep.submit");
         self.validate_spec(spec)?;
 
-        let (cells, mut jobs) = spec.expand();
-        let job_count = jobs.len();
-        if self.injection == InjectionOrder::CostDescending {
-            self.order_by_cost(&mut jobs);
-        }
-        let shape = spec.cell_shape();
+        let (cells, jobs) = spec.expand();
+        let total = jobs.len();
+        let mut aggregator = Aggregator::new(cells, total, spec.cell_shape());
+        let (journal, jobs) = match &config.journal {
+            None => (None, jobs),
+            Some(cfg) => {
+                let (journal, done) = SweepJournal::resume_into(cfg, spec, &mut aggregator)?;
+                let remainder = jobs.into_iter().filter(|job| !done[job.index]).collect();
+                (Some(journal), remainder)
+            }
+        };
+        let replayed = aggregator.received();
 
         let shared = Arc::new(SessionShared {
             events: EventQueue::new(config.max_buffered_events),
             cancel: AtomicBool::new(false),
-            progress: ProgressCounters::default(),
-            caches: Arc::clone(&self.caches),
-            baseline: CacheBaseline::snapshot(&self.caches),
-            threads: self.threads.min(job_count.max(1)),
-            total_jobs: job_count,
+            progress: ProgressCounters {
+                done: AtomicU64::new(replayed as u64),
+                ..ProgressCounters::default()
+            },
+            caches: Arc::clone(&self.runtime.caches),
+            baseline: CacheBaseline::snapshot(&self.runtime.caches),
+            threads: self.threads.min(jobs.len().max(1)),
+            total_jobs: total,
             started: Instant::now(),
         });
         let result = Arc::new(Mutex::new(None));
 
         let session = SessionTask {
-            caches: Arc::clone(&self.caches),
-            registry: Arc::clone(&self.registry),
-            cost_model: Arc::clone(&self.cost_model),
-            metrics: Arc::clone(&self.metrics),
-            recorder: Arc::clone(&self.recorder),
+            runtime: self.runtime.clone(),
             shared: Arc::clone(&shared),
             result: Arc::clone(&result),
             config,
-            cells,
+            aggregator: Some(aggregator),
+            journal,
             jobs,
-            shape,
             _active: ActiveGuard::enter(Arc::clone(&self.active_sessions)),
         };
         let thread = std::thread::Builder::new()
@@ -850,24 +825,19 @@ impl Engine {
     /// every job, so it is refused before any work starts).
     fn validate_spec(&self, spec: &SweepSpec) -> Result<(), EngineError> {
         spec.validate()?;
+        let registry = &self.runtime.registry;
         let produced = spec.input_kind();
         for key in spec.analyses.keys() {
-            let analysis = self
-                .registry
+            let analysis = registry
                 .get(key)
                 .map_err(|e| EngineError::InvalidSpec(e.to_string()))?;
             // A key whose input kind cannot come out of this grid would
             // deterministically fail every job; refuse before any work.
             if analysis.input_kind() != produced {
-                let compatible: Vec<&str> = self
-                    .registry
+                let compatible: Vec<&str> = registry
                     .keys()
                     .into_iter()
-                    .filter(|k| {
-                        self.registry
-                            .get(k)
-                            .is_ok_and(|a| a.input_kind() == produced)
-                    })
+                    .filter(|k| registry.get(k).is_ok_and(|a| a.input_kind() == produced))
                     .collect();
                 return Err(EngineError::InvalidSpec(format!(
                     "analysis `{key}` expects a {}, but this grid produces a {} \
@@ -891,8 +861,9 @@ impl Engine {
     /// fed subset results from *every* shard finalizes to the bitwise
     /// aggregate of a single-process run — expansion order, not arrival
     /// order, drives the reduction). `sink` runs on the calling thread;
-    /// the jobs themselves run on this engine's worker pool and hit the
-    /// same memo/disk caches as any other run.
+    /// the jobs themselves run through the same job loop as a session,
+    /// on this engine's worker pool, against the same memo/disk caches,
+    /// and they leave the same metrics on [`Engine::metrics`].
     ///
     /// Returns the number of jobs run.
     ///
@@ -906,27 +877,7 @@ impl Engine {
         indices: &[usize],
         sink: impl FnMut(JobResult),
     ) -> Result<usize, EngineError> {
-        self.run_job_subset_cancellable(spec, indices, None, sink)
-    }
-
-    /// [`Engine::run_job_subset`] with cooperative cancellation: once
-    /// `cancel` flips, queued jobs are skipped (in-flight jobs finish
-    /// and still reach `sink`). Returns the number of jobs *selected*;
-    /// callers observing a cancel decide for themselves whether a short
-    /// run is an error (the journaled path turns it into
-    /// [`EngineError::Cancelled`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::run_job_subset`].
-    pub fn run_job_subset_cancellable(
-        &self,
-        spec: &SweepSpec,
-        indices: &[usize],
-        cancel: Option<&std::sync::atomic::AtomicBool>,
-        mut sink: impl FnMut(JobResult),
-    ) -> Result<usize, EngineError> {
-        let _span = span!(self.recorder.as_ref(), "sweep.subset");
+        let _span = span!(self.runtime.recorder.as_ref(), "sweep.subset");
         self.validate_spec(spec)?;
         let (_cells, jobs) = spec.expand();
         let job_count = jobs.len();
@@ -939,31 +890,113 @@ impl Engine {
             }
             wanted[index] = true;
         }
-        let mut jobs: Vec<Job> = jobs.into_iter().filter(|job| wanted[job.index]).collect();
+        let jobs: Vec<Job> = jobs.into_iter().filter(|job| wanted[job.index]).collect();
         let ran = jobs.len();
-        if self.injection == InjectionOrder::CostDescending {
-            self.order_by_cost(&mut jobs);
-        }
-        let caches = &self.caches;
-        let registry = &self.registry;
+        self.runtime
+            .execute(jobs, self.threads, None, &|_| {}, sink);
+        Ok(ran)
+    }
+}
+
+/// What every job run executes against. An [`Engine`] holds one; each
+/// session thread holds a clone.
+#[derive(Debug, Clone)]
+struct Runtime {
+    caches: Arc<EngineCaches>,
+    registry: Arc<AnalysisRegistry>,
+    cost_model: Arc<CostModel>,
+    metrics: Arc<MetricsRegistry>,
+    recorder: Arc<dyn Recorder>,
+}
+
+impl Runtime {
+    /// The engine's one job loop: runs `jobs` heaviest-first on up to
+    /// `threads` pool workers (dequeuing stops once `cancel` flips) and
+    /// hands each result to `consume` on the calling thread. `on_start`
+    /// runs on the worker just before each job.
+    ///
+    /// Sessions, job subsets, shards and fleet workers all run here, so
+    /// each records the same telemetry: named lanes, one `job` span per
+    /// job, injector queue-depth samples, the cost model, per-analysis
+    /// `analysis.<key>.latency_ns` histograms, `pool.*` counters and
+    /// `cost.ewma_us.*` gauges.
+    fn execute(
+        &self,
+        mut jobs: Vec<Job>,
+        threads: usize,
+        cancel: Option<&AtomicBool>,
+        on_start: &(dyn Fn(usize) + Sync),
+        mut consume: impl FnMut(JobResult),
+    ) -> Vec<WorkerStats> {
+        self.order_by_cost(&mut jobs);
+        let threads = threads.min(jobs.len().max(1));
+        let (caches, registry, metrics) = (&self.caches, &self.registry, &self.metrics);
         let recorder: &dyn Recorder = self.recorder.as_ref();
-        pool::run_jobs_cancellable(
+
+        // Name the timeline lanes: lane 0 = the calling thread, lane 1+k
+        // = worker k.
+        if recorder.enabled() {
+            recorder.name_lane(0, "session");
+            for worker in 0..threads {
+                recorder.name_lane(worker as u32 + 1, &format!("worker {worker}"));
+            }
+        }
+        let queue_gauge = metrics.gauge("pool.queue_depth");
+        let observe_depth = |depth: usize| {
+            queue_gauge.set(depth as u64);
+            recorder.record_counter("pool.queue_depth", depth as u64);
+        };
+
+        // Per-analysis latency histograms are fed here on the
+        // single-threaded consume path, through a local handle cache, so
+        // workers never touch (or contend on) the registry.
+        let mut latency: HashMap<Arc<str>, Histogram> = HashMap::new();
+        let worker_stats = pool::run_jobs(
             jobs,
-            self.threads.min(ran.max(1)),
+            threads,
             cancel,
+            Some(&observe_depth),
             |worker, job: Job| {
                 hetrta_obs::set_thread_lane(worker as u32 + 1);
+                on_start(job.index);
                 let _span = span!(recorder, "job", index = job.index, cell = job.cell);
                 job::execute(caches, registry, &job, worker, recorder)
             },
-            |_, result| {
+            |_, result: JobResult| {
                 for (key, elapsed) in &result.timings {
                     self.cost_model.observe(key, *elapsed);
+                    latency
+                        .entry(Arc::clone(key))
+                        .or_insert_with(|| metrics.histogram(&format!("analysis.{key}.latency_ns")))
+                        .record_duration(*elapsed);
                 }
-                sink(result);
+                consume(result);
             },
         );
-        Ok(ran)
+
+        // Pool-level totals and the learned per-key cost EWMAs land on
+        // the registry once per run.
+        fn micros(d: Duration) -> u64 {
+            u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+        }
+        let total = |field: fn(&WorkerStats) -> u64| worker_stats.iter().map(field).sum();
+        metrics.counter("pool.jobs").add(total(|w| w.jobs));
+        metrics.counter("pool.steals").add(total(|w| w.steals));
+        metrics
+            .counter("pool.busy_us")
+            .add(total(|w| micros(w.busy)));
+        metrics
+            .counter("pool.idle_us")
+            .add(total(|w| micros(w.idle)));
+        for key in latency.keys() {
+            if let Some(micros) = self.cost_model.measured_micros(key) {
+                #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+                metrics
+                    .gauge(&format!("cost.ewma_us.{key}"))
+                    .set(micros.max(0.0) as u64);
+            }
+        }
+        worker_stats
     }
 
     /// Stable-sorts jobs so the heaviest analysis kinds enter the injector
@@ -987,20 +1020,17 @@ impl Engine {
     }
 }
 
-/// Everything one session thread owns: it executes the jobs, feeds the
-/// aggregator and cost model, emits events, and deposits the result.
+/// Everything one session thread owns: it executes the remaining jobs
+/// through the job loop, feeds the aggregator (and journal), emits
+/// events, and deposits the result.
 struct SessionTask {
-    caches: Arc<EngineCaches>,
-    registry: Arc<AnalysisRegistry>,
-    cost_model: Arc<CostModel>,
-    metrics: Arc<MetricsRegistry>,
-    recorder: Arc<dyn Recorder>,
+    runtime: Runtime,
     shared: Arc<SessionShared>,
     result: Arc<Mutex<Option<Result<EngineOutput, EngineError>>>>,
     config: SessionConfig,
-    cells: Vec<crate::spec::CellInfo>,
+    aggregator: Option<Aggregator>,
+    journal: Option<SweepJournal>,
     jobs: Vec<Job>,
-    shape: crate::spec::CellShape,
     _active: ActiveGuard,
 }
 
@@ -1041,67 +1071,30 @@ impl SessionTask {
 
     fn execute(&mut self) -> Result<EngineOutput, EngineError> {
         let shared = &self.shared;
-        let jobs = std::mem::take(&mut self.jobs);
-        let job_count = jobs.len();
-        let mut aggregator =
-            Aggregator::new(std::mem::take(&mut self.cells), job_count, self.shape);
-        let caches = &self.caches;
-        let registry = &self.registry;
         let config = &self.config;
-        let cost_model = &self.cost_model;
-        let metrics = &self.metrics;
-        let recorder: &dyn Recorder = self.recorder.as_ref();
+        let recorder: &dyn Recorder = self.runtime.recorder.as_ref();
+        let jobs = std::mem::take(&mut self.jobs);
+        let journal = self.journal.take();
+        let mut aggregator = self.aggregator.take().expect("a session executes once");
+        let total = shared.total_jobs;
+        let replayed = aggregator.received();
 
-        // Name the timeline lanes (lane 0 = this session thread, lane
-        // 1+k = worker k) and open the root span covering the whole run.
-        if recorder.enabled() {
-            recorder.name_lane(0, "session");
-            for worker in 0..shared.threads {
-                recorder.name_lane(worker as u32 + 1, &format!("worker {worker}"));
-            }
-        }
-        hetrta_obs::set_thread_lane(0);
-        let sweep_span = span!(recorder, "sweep", jobs = job_count);
-
-        let queue_gauge = metrics.gauge("pool.queue_depth");
-        let observe_depth = |depth: usize| {
-            queue_gauge.set(depth as u64);
-            recorder.record_counter("pool.queue_depth", depth as u64);
-        };
-
-        // Per-analysis latency histograms are fed here on the
-        // single-threaded consume path, through a local handle cache, so
-        // workers never touch (or contend on) the registry.
-        let mut latency_handles: HashMap<Arc<str>, Histogram> = HashMap::new();
-
+        // The root span on this thread's lane 0 covers the whole run.
+        let sweep_span = span!(recorder, "sweep", jobs = total);
         let mut delta_encoder = config
             .partial_every
             .map(|_| crate::aggregate::AggregateDeltaEncoder::new(config.keyframe_every));
-        let delta_encoder = &mut delta_encoder;
-        let latency = &mut latency_handles;
-        let worker_stats = pool::run_jobs_observed(
+        let on_start = |index: usize| {
+            if config.job_events {
+                shared.events.push(SweepEvent::JobStarted { index });
+            }
+        };
+        let worker_stats = self.runtime.execute(
             jobs,
             shared.threads,
             Some(&shared.cancel),
-            Some(&observe_depth),
-            move |worker, j: Job| {
-                hetrta_obs::set_thread_lane(worker as u32 + 1);
-                if config.job_events {
-                    shared
-                        .events
-                        .push(SweepEvent::JobStarted { index: j.index });
-                }
-                let _span = span!(recorder, "job", index = j.index, cell = j.cell);
-                job::execute(caches, registry, &j, worker, recorder)
-            },
-            |_, result| {
-                for (key, elapsed) in &result.timings {
-                    cost_model.observe(key, *elapsed);
-                    latency
-                        .entry(Arc::clone(key))
-                        .or_insert_with(|| metrics.histogram(&format!("analysis.{key}.latency_ns")))
-                        .record_duration(*elapsed);
-                }
+            &on_start,
+            |result| {
                 shared.progress.done.fetch_add(1, Ordering::Relaxed);
                 if result.cache_hit {
                     shared.progress.cached.fetch_add(1, Ordering::Relaxed);
@@ -1118,70 +1111,30 @@ impl SessionTask {
                         wall_time: result.wall_time,
                     });
                 }
-                // Journal before the aggregator consumes the result: the
-                // done record is the durability point for this job.
-                let journal_keyframe_due = config
-                    .journal
-                    .as_deref()
-                    .is_some_and(|journal| journal.record_done(&result));
-                aggregator.accept(result);
-                if journal_keyframe_due && aggregator.received() < job_count {
-                    if let Some(journal) = &config.journal {
-                        journal.record_keyframe(aggregator.received(), aggregator.partial());
-                    }
-                }
+                SweepJournal::accept(journal.as_ref(), &mut aggregator, result);
                 if let Some(every) = config.partial_every {
                     let received = aggregator.received();
-                    if received.is_multiple_of(every) && received < job_count {
+                    if received.is_multiple_of(every) && received < total {
                         let _span = span!(recorder, "session.emit_partial");
                         let encoder = delta_encoder.as_mut().expect("encoder exists");
                         shared.events.push(SweepEvent::PartialAggregate {
                             completed: received,
-                            total: job_count,
+                            total,
                             update: encoder.encode(aggregator.partial()),
                         });
                     }
                 }
             },
         );
-
-        // Pool-level totals and the learned per-key cost EWMAs land on
-        // the registry once per run.
-        metrics
-            .counter("pool.jobs")
-            .add(worker_stats.iter().map(|w| w.jobs).sum());
-        metrics
-            .counter("pool.steals")
-            .add(worker_stats.iter().map(|w| w.steals).sum());
-        metrics.counter("pool.busy_us").add(
-            worker_stats
-                .iter()
-                .map(|w| u64::try_from(w.busy.as_micros()).unwrap_or(u64::MAX))
-                .sum(),
-        );
-        metrics.counter("pool.idle_us").add(
-            worker_stats
-                .iter()
-                .map(|w| u64::try_from(w.idle.as_micros()).unwrap_or(u64::MAX))
-                .sum(),
-        );
-        for key in latency_handles.keys() {
-            if let Some(micros) = cost_model.measured_micros(key) {
-                #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-                metrics
-                    .gauge(&format!("cost.ewma_us.{key}"))
-                    .set(micros.max(0.0) as u64);
-            }
-        }
-
-        // Seal the journal tail whether the sweep finished or was
-        // cancelled — either way its records must survive this process.
-        if let Some(journal) = &self.config.journal {
-            journal.seal();
-        }
+        // Close the journal whether the sweep finished or was cancelled:
+        // its records must survive this process either way.
+        let journal = journal.map(|journal| JournalStats {
+            replayed,
+            write_failures: journal.close(),
+        });
 
         let completed = aggregator.received();
-        let cancelled = shared.cancel.load(Ordering::Relaxed) && completed < job_count;
+        let cancelled = shared.cancel.load(Ordering::Relaxed) && completed < total;
         shared
             .events
             .push_with_dropped(|events_dropped| SweepEvent::SweepFinished {
@@ -1193,29 +1146,15 @@ impl SessionTask {
             return Err(EngineError::Cancelled);
         }
 
-        let cached_jobs = aggregator.cache_hits();
-        let skipped_jobs = aggregator.skipped();
         let finalize_span = span!(recorder, "aggregate.finalize");
         let aggregate = aggregator.finalize()?;
         drop(finalize_span);
         drop(sweep_span);
-        let baseline = shared.baseline;
-        let stats = EngineStats {
-            threads: worker_stats.len(),
-            jobs: job_count,
-            per_worker_jobs: worker_stats.iter().map(|w| w.jobs).collect(),
-            per_worker_steals: worker_stats.iter().map(|w| w.steals).collect(),
-            cached_jobs,
-            skipped_jobs,
-            transform_cache: caches.transform.counters().since(baseline.transform),
-            derived_cache: caches.derived.counters().since(baseline.derived),
-            result_cache: caches.results.counters().since(baseline.results),
-            identity_cache: caches.identity.counters().since(baseline.identity),
-            input_cache: caches.inputs.counters().since(baseline.inputs),
-            disk_cache: caches.disk_counters().since(baseline.disk),
-            events_dropped: shared.events.dropped(),
-            elapsed: shared.started.elapsed(),
-        };
+        let mut stats = shared.snapshot();
+        stats.threads = worker_stats.len();
+        stats.per_worker_jobs = worker_stats.iter().map(|w| w.jobs).collect();
+        stats.per_worker_steals = worker_stats.iter().map(|w| w.steals).collect();
+        stats.journal = journal;
         Ok(EngineOutput { aggregate, stats })
     }
 }
@@ -1285,24 +1224,12 @@ mod tests {
     }
 
     #[test]
-    fn injection_order_does_not_change_the_aggregate() {
-        // Tiny DAGs keep the (heaviest-ranked) exact solves fast while the
-        // cost ordering still reshuffles all four analysis kinds.
-        let tiny =
-            GeneratorPreset::Custom(hetrta_gen::NfjParams::small_tasks().with_node_range(4, 12));
-        let spec = SweepSpec::fractions(tiny, vec![2, 4], vec![0.1, 0.3], 6, 11)
-            .with_analyses(crate::AnalysisSelection::all());
-        let by_cost = Engine::new(3).run(&spec).unwrap();
-        let by_expansion = Engine::new(3)
-            .with_injection_order(InjectionOrder::Expansion)
-            .run(&spec)
-            .unwrap();
-        assert_eq!(by_cost.aggregate, by_expansion.aggregate);
-    }
-
-    #[test]
     fn bounded_caches_stay_under_their_cap() {
-        let engine = Engine::with_cache_capacity(2, 64);
+        let engine = EngineBuilder::new()
+            .threads(2)
+            .cache_capacity(64)
+            .build()
+            .unwrap();
         // 2 × 4 × 20 = 160 distinct jobs — far beyond the 64-entry cap.
         let spec = SweepSpec::fractions(
             GeneratorPreset::Small,

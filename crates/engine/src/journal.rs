@@ -21,9 +21,16 @@
 //! for observers. Because the [`Aggregator`] replays expansion order at
 //! finalize, a resumed sweep's aggregate is **bitwise identical** to an
 //! uninterrupted run's — regardless of where the crash landed.
+//!
+//! A sweep journals by setting
+//! [`SessionConfig::journal`](crate::SessionConfig::journal); the
+//! `hetrta-dist` coordinator journals its fleet sweeps the same way.
+//! Both drive the journal through the same three calls:
+//! [`SweepJournal::resume_into`] on start, [`SweepJournal::accept`] per
+//! finished job, [`SweepJournal::close`] on finish or cancel.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -32,7 +39,7 @@ use hetrta_api::AnalysisOutcome;
 use hetrta_fault::{escape, unescape, RecordLog};
 
 use crate::aggregate::{AggregateUpdate, Aggregator, SweepAggregate};
-use crate::engine::{Engine, EngineError};
+use crate::engine::EngineError;
 use crate::job::{JobMetrics, JobResult};
 use crate::spec::SweepSpec;
 use crate::wire::{encode_spec, encode_update};
@@ -81,6 +88,17 @@ pub fn spec_hash(spec: &SweepSpec) -> u64 {
     fnv64(encode_spec(spec).as_bytes())
 }
 
+/// What a journaled session's journal did, reported in
+/// [`EngineStats::journal`](crate::EngineStats::journal).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JournalStats {
+    /// Jobs replayed from the journal instead of executed.
+    pub replayed: usize,
+    /// Journal appends and seals that failed (durability degraded, the
+    /// sweep unharmed).
+    pub write_failures: u64,
+}
+
 /// A shareable, append-side handle on one sweep's journal.
 ///
 /// Writes are serialized internally; append failures are counted
@@ -90,7 +108,6 @@ pub fn spec_hash(spec: &SweepSpec) -> u64 {
 #[derive(Debug)]
 pub struct SweepJournal {
     inner: Mutex<JournalInner>,
-    spec_hash: u64,
     keyframe_every: usize,
     write_failures: AtomicU64,
 }
@@ -102,17 +119,11 @@ struct JournalInner {
     keyframe_seq: u64,
 }
 
-/// What replaying a journal recovered.
-#[derive(Debug)]
-pub struct JournalReplay {
-    /// Completed jobs, reconstructed from `done` records (at most one
-    /// per expansion index; duplicates from redispatch are deduped).
-    pub results: Vec<JobResult>,
-}
-
 impl SweepJournal {
     /// Opens the journal at `cfg.dir` for `spec`, replaying any existing
-    /// records first.
+    /// records first. Returns the journal and the completed jobs its
+    /// `done` records hold (at most one per expansion index; duplicates
+    /// from redispatch are deduped).
     ///
     /// A fresh directory gets a `start` record. An existing journal must
     /// match the spec's hash and job count, and — when it already holds
@@ -128,7 +139,7 @@ impl SweepJournal {
         cfg: &JournalConfig,
         spec: &SweepSpec,
         total_jobs: usize,
-    ) -> Result<(SweepJournal, JournalReplay), EngineError> {
+    ) -> Result<(SweepJournal, Vec<JobResult>), EngineError> {
         let hash = spec_hash(spec);
         let records = RecordLog::read_all(&cfg.dir)
             .map_err(|e| EngineError::Cache(format!("sweep journal: {e}")))?;
@@ -183,18 +194,62 @@ impl SweepJournal {
                     since_keyframe: 0,
                     keyframe_seq: 0,
                 }),
-                spec_hash: hash,
                 keyframe_every: cfg.keyframe_every.max(1),
                 write_failures: AtomicU64::new(0),
             },
-            JournalReplay { results: replayed },
+            replayed,
         ))
     }
 
-    /// The spec hash this journal is pinned to.
-    #[must_use]
-    pub fn spec_hash(&self) -> u64 {
-        self.spec_hash
+    /// Opens the journal of `spec` (see [`SweepJournal::open`]) and
+    /// replays its completed jobs into `aggregator`, a fresh aggregator
+    /// of the spec's whole expansion. Returns the journal and, per
+    /// expansion index, whether that job was replayed; the rest is what
+    /// still has to run.
+    ///
+    /// # Errors
+    ///
+    /// See [`SweepJournal::open`].
+    pub fn resume_into(
+        cfg: &JournalConfig,
+        spec: &SweepSpec,
+        aggregator: &mut Aggregator,
+    ) -> Result<(SweepJournal, Vec<bool>), EngineError> {
+        let total = aggregator.job_count();
+        let (journal, replay) = SweepJournal::open(cfg, spec, total)?;
+        let mut done = vec![false; total];
+        for result in replay {
+            done[result.index] = true;
+            aggregator.accept(result);
+        }
+        Ok((journal, done))
+    }
+
+    /// Feeds one finished job into `aggregator`, write-ahead through
+    /// `journal` when there is one: the `done` record is the durability
+    /// point, so it lands before the aggregator absorbs the result (a
+    /// crash between the two replays the job rather than losing it), and
+    /// a due keyframe follows. Without a journal this is
+    /// [`Aggregator::accept`].
+    pub fn accept(journal: Option<&SweepJournal>, aggregator: &mut Aggregator, result: JobResult) {
+        let Some(journal) = journal else {
+            return aggregator.accept(result);
+        };
+        let keyframe_due = journal.record_done(&result);
+        aggregator.accept(result);
+        let completed = aggregator.received();
+        if keyframe_due && completed < aggregator.job_count() {
+            journal.record_keyframe(completed, aggregator.partial());
+        }
+    }
+
+    /// Seals the journal's active segment, so every record written so far
+    /// sits in a durable, atomically renamed file, and returns the
+    /// run's write failures. Called once when the sweep finishes or is
+    /// cancelled.
+    pub fn close(self) -> u64 {
+        self.seal();
+        self.write_failures()
     }
 
     /// Appends one finished job. Failed jobs are *not* journaled (they
@@ -228,7 +283,7 @@ impl SweepJournal {
 
     /// Appends an aggregate keyframe and seals the active segment
     /// (atomic rename), bounding how much a later torn tail can cover.
-    pub fn record_keyframe(&self, completed: usize, aggregate: SweepAggregate) {
+    fn record_keyframe(&self, completed: usize, aggregate: SweepAggregate) {
         let mut inner = self.lock();
         let seq = inner.keyframe_seq;
         inner.keyframe_seq += 1;
@@ -241,9 +296,8 @@ impl SweepJournal {
         }
     }
 
-    /// Appends (journal handles failure of) no specific record but seals
-    /// the active segment — called once when a sweep finishes so the
-    /// final records are in a durable, renamed segment.
+    /// Seals the active segment without appending a record, so the
+    /// records written so far are in a durable, renamed segment.
     pub fn seal(&self) {
         if self.lock().log.seal().is_err() {
             self.write_failures.fetch_add(1, Ordering::Relaxed);
@@ -317,108 +371,12 @@ fn parse_record(record: &str) -> Option<Record> {
     }
 }
 
-/// What one journaled (possibly resumed) run did.
-#[derive(Debug)]
-pub struct JournalOutcome {
-    /// The deterministic aggregate — bitwise the uninterrupted run's.
-    pub aggregate: SweepAggregate,
-    /// Jobs replayed from the journal (zero re-execution).
-    pub replayed: usize,
-    /// Jobs executed in this process.
-    pub executed: usize,
-    /// The spec's total expansion.
-    pub total: usize,
-    /// Journal appends that failed during the run.
-    pub journal_write_failures: u64,
-}
-
-impl Engine {
-    /// Runs `spec` write-ahead journaled into `cfg.dir`: previously
-    /// completed jobs (from an interrupted earlier run) are replayed
-    /// from the journal, only the remainder executes, and the final
-    /// aggregate is bitwise identical to an uninterrupted
-    /// [`Engine::run`] — the expansion-order replay inside
-    /// [`Aggregator`] is indifferent to where results come from.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Engine::run`] can return, plus [`EngineError::Cache`]
-    /// for an unusable journal directory / spec-mismatched journal and
-    /// [`EngineError::InvalidSpec`] for an unresumed non-empty journal.
-    pub fn run_journaled(
-        &self,
-        spec: &SweepSpec,
-        cfg: &JournalConfig,
-    ) -> Result<JournalOutcome, EngineError> {
-        self.run_journaled_with(spec, cfg, None, |_, _, _| {})
-    }
-
-    /// [`Engine::run_journaled`] with cooperative cancellation and a
-    /// per-job progress hook `(completed, total, result)` — the daemon's
-    /// restart-recovery path. Cancellation returns
-    /// [`EngineError::Cancelled`], but everything journaled so far stays
-    /// durable: a later resume continues from it.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::run_journaled`]; plus [`EngineError::Cancelled`].
-    pub fn run_journaled_with(
-        &self,
-        spec: &SweepSpec,
-        cfg: &JournalConfig,
-        cancel: Option<&AtomicBool>,
-        mut progress: impl FnMut(usize, usize, &JobResult),
-    ) -> Result<JournalOutcome, EngineError> {
-        spec.validate()?;
-        let (cells, jobs) = spec.expand();
-        let total = jobs.len();
-        drop(jobs);
-        let (journal, replay) = SweepJournal::open(cfg, spec, total)?;
-
-        let mut aggregator = Aggregator::new(cells, total, spec.cell_shape());
-        let mut done = vec![false; total];
-        let replayed = replay.results.len();
-        for result in replay.results {
-            done[result.index] = true;
-            aggregator.accept(result);
-        }
-        let remainder: Vec<usize> = (0..total).filter(|&i| !done[i]).collect();
-        let executed = remainder.len();
-
-        let aggregator_cell = &mut aggregator;
-        let journal_ref = &journal;
-        let progress_ref = &mut progress;
-        self.run_job_subset_cancellable(spec, &remainder, cancel, |result| {
-            let keyframe_due = journal_ref.record_done(&result);
-            let completed = aggregator_cell.received() + 1;
-            progress_ref(completed, total, &result);
-            aggregator_cell.accept(result);
-            if keyframe_due && completed < total {
-                journal_ref.record_keyframe(completed, aggregator_cell.partial());
-            }
-        })?;
-
-        let completed = aggregator.received();
-        if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) && completed < total {
-            journal.seal();
-            return Err(EngineError::Cancelled);
-        }
-        journal.seal();
-        let aggregate = aggregator.finalize()?;
-        Ok(JournalOutcome {
-            aggregate,
-            replayed,
-            executed,
-            total,
-            journal_write_failures: journal.write_failures(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::GeneratorPreset;
+    use crate::engine::{Engine, EngineOutput};
+    use crate::session::{SessionConfig, SweepEvent};
+    use crate::spec::{AnalysisSelection, GeneratorPreset};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hetrta-journal-{tag}-{}", std::process::id()));
@@ -430,17 +388,43 @@ mod tests {
         SweepSpec::fractions(GeneratorPreset::Small, vec![2, 4], vec![0.1, 0.3], 4, 11)
     }
 
+    fn journaled(journal: JournalConfig) -> SessionConfig {
+        SessionConfig {
+            journal: Some(journal),
+            ..SessionConfig::quiet()
+        }
+    }
+
+    fn journaled_run(
+        engine: &Engine,
+        spec: &SweepSpec,
+        journal: JournalConfig,
+    ) -> Result<EngineOutput, EngineError> {
+        engine.submit_with(spec, journaled(journal))?.wait()
+    }
+
+    /// `(replayed, executed)` of a journaled run.
+    fn counts(out: &EngineOutput) -> (usize, usize) {
+        let journal = out.stats.journal.expect("journaled session");
+        let executed = out.stats.per_worker_jobs.iter().sum::<u64>() as usize;
+        assert_eq!(
+            journal.replayed + executed,
+            out.stats.jobs,
+            "no job ran twice"
+        );
+        (journal.replayed, executed)
+    }
+
     #[test]
     fn journaled_run_matches_plain_run_bitwise() {
         let dir = temp_dir("plain");
         let engine = Engine::new(2);
         let plain = engine.run(&spec()).unwrap();
-        let journaled = Engine::new(2)
-            .run_journaled(&spec(), &JournalConfig::new(&dir))
-            .unwrap();
+        assert_eq!(plain.stats.journal, None);
+        let journaled = journaled_run(&Engine::new(2), &spec(), JournalConfig::new(&dir)).unwrap();
         assert_eq!(journaled.aggregate, plain.aggregate);
-        assert_eq!(journaled.replayed, 0);
-        assert_eq!(journaled.executed, journaled.total);
+        assert_eq!(counts(&journaled), (0, spec().job_count()));
+        assert_eq!(journaled.stats.journal.unwrap().write_failures, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -457,7 +441,7 @@ mod tests {
         // a seal — as a crash would.
         let cfg = JournalConfig::new(&dir);
         let (journal, replay) = SweepJournal::open(&cfg, &spec(), total).unwrap();
-        assert!(replay.results.is_empty());
+        assert!(replay.is_empty());
         let done: Vec<usize> = vec![0, 3, 7, 11, 15];
         engine
             .run_job_subset(&spec(), &done, |result| {
@@ -469,75 +453,152 @@ mod tests {
         // A fresh engine (cold caches — everything must come from the
         // journal, not memory) resumes and completes the rest; a tight
         // keyframe cadence exercises mid-run keyframes + segment seals.
-        let resumed = Engine::new(2)
-            .run_journaled(
-                &spec(),
-                &JournalConfig {
-                    keyframe_every: 3,
-                    ..JournalConfig::new(&dir).resuming()
-                },
-            )
-            .unwrap();
-        assert_eq!(resumed.replayed, 5);
-        assert_eq!(resumed.executed, total - 5);
+        let resumed = journaled_run(
+            &Engine::new(2),
+            &spec(),
+            JournalConfig {
+                keyframe_every: 3,
+                ..JournalConfig::new(&dir).resuming()
+            },
+        )
+        .unwrap();
+        assert_eq!(counts(&resumed), (5, total - 5));
         assert_eq!(resumed.aggregate, full.aggregate, "bitwise identical");
 
         // Resuming a *finished* journal (which now also holds keyframe
         // records to skip) re-executes nothing at all.
-        let again = Engine::new(2)
-            .run_journaled(&spec(), &JournalConfig::new(&dir).resuming())
-            .unwrap();
-        assert_eq!(again.executed, 0);
-        assert_eq!(again.replayed, total);
+        let again = journaled_run(
+            &Engine::new(2),
+            &spec(),
+            JournalConfig::new(&dir).resuming(),
+        )
+        .unwrap();
+        assert_eq!(counts(&again), (total, 0));
         assert_eq!(again.aggregate, full.aggregate);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A `hom`-shaped analysis whose second and later runs park until
+    /// the test releases them, so a one-worker sweep can be cancelled
+    /// with exactly one job done, however fast jobs run.
+    #[derive(Debug, Default)]
+    struct Gated {
+        runs: std::sync::atomic::AtomicUsize,
+        released: std::sync::atomic::AtomicBool,
+    }
+
+    impl hetrta_api::Analysis for Gated {
+        fn key(&self) -> &str {
+            "gated"
+        }
+        fn describe(&self) -> &str {
+            "critical-path length, held at a gate after the first run"
+        }
+        fn run(
+            &self,
+            request: &hetrta_api::AnalysisRequest,
+            _ctx: &dyn hetrta_api::AnalysisContext,
+        ) -> Result<AnalysisOutcome, hetrta_api::ApiError> {
+            if self.runs.fetch_add(1, Ordering::SeqCst) > 0 {
+                let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                while !self.released.load(Ordering::SeqCst) && std::time::Instant::now() < deadline
+                {
+                    std::thread::yield_now();
+                }
+            }
+            let task = request.input.as_task(self.key())?;
+            Ok(AnalysisOutcome::Hom {
+                r_hom: task.critical_path_length().as_f64(),
+            })
+        }
+    }
+
+    fn gated_engine(gate: std::sync::Arc<Gated>) -> Engine {
+        let mut registry = hetrta_api::AnalysisRegistry::builtin();
+        registry.register(gate);
+        crate::EngineBuilder::new()
+            .threads(1)
+            .registry(registry)
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn cancellation_is_typed_and_leaves_the_journal_resumable() {
+        let spec = SweepSpec::fractions(GeneratorPreset::Small, vec![2], vec![0.2], 16, 3)
+            .with_analyses(AnalysisSelection::from_keys(["gated"]));
         let dir = temp_dir("cancel");
-        let cancel = AtomicBool::new(true); // cancelled before any job runs
-        let err = Engine::new(1)
-            .run_journaled_with(
-                &spec(),
-                &JournalConfig::new(&dir),
-                Some(&cancel),
-                |_, _, _| {},
-            )
-            .unwrap_err();
-        assert!(matches!(err, EngineError::Cancelled));
-
-        // The journal survives (with its start record) and resumes fine.
-        let full = Engine::new(2).run(&spec()).unwrap();
-        let resumed = Engine::new(2)
-            .run_journaled(&spec(), &JournalConfig::new(&dir).resuming())
+        let gate = std::sync::Arc::new(Gated::default());
+        let config = SessionConfig {
+            job_events: true,
+            ..journaled(JournalConfig::new(&dir))
+        };
+        let handle = gated_engine(gate.clone())
+            .submit_with(&spec, config)
             .unwrap();
+        while let Some(event) = handle.next_event() {
+            if matches!(event, SweepEvent::JobFinished { .. }) {
+                handle.cancel();
+                gate.released.store(true, Ordering::SeqCst);
+            }
+        }
+        assert!(matches!(handle.wait(), Err(EngineError::Cancelled)));
+
+        // The journal survives (sealed, with the finished jobs) and
+        // resumes to the uninterrupted aggregate.
+        let open_gate = || {
+            let gate = Gated::default();
+            gate.released.store(true, Ordering::SeqCst);
+            gated_engine(std::sync::Arc::new(gate))
+        };
+        let full = open_gate().run(&spec).unwrap();
+        let resumed =
+            journaled_run(&open_gate(), &spec, JournalConfig::new(&dir).resuming()).unwrap();
+        let (replayed, _) = counts(&resumed);
+        assert!(
+            (1..=2).contains(&replayed),
+            "the jobs done before the cancel, {replayed}"
+        );
         assert_eq!(resumed.aggregate, full.aggregate);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn streaming_sessions_journal_too() {
-        use crate::session::SessionConfig;
-        use std::sync::Arc;
-
+    fn journaled_sessions_stream_like_plain_ones() {
         let dir = temp_dir("session");
         let engine = Engine::new(2);
         let total = spec().job_count();
-        let (journal, _) = SweepJournal::open(&JournalConfig::new(&dir), &spec(), total).unwrap();
         let config = SessionConfig {
-            journal: Some(Arc::new(journal)),
-            ..SessionConfig::default()
+            journal: Some(JournalConfig::new(&dir)),
+            ..SessionConfig::with_partials(4)
         };
-        let out = engine.submit_with(&spec(), config).unwrap().wait().unwrap();
+        let handle = engine.submit_with(&spec(), config).unwrap();
+        let (mut finished, mut partials) = (0, 0);
+        while let Some(event) = handle.next_event() {
+            match event {
+                SweepEvent::JobFinished { .. } => finished += 1,
+                SweepEvent::PartialAggregate { .. } => partials += 1,
+                _ => {}
+            }
+        }
+        let out = handle.wait().unwrap();
+        assert_eq!(finished, total);
+        assert_eq!(partials, total / 4 - 1, "one per 4 jobs, none at the end");
+        assert!(
+            out.stats.render().contains("journal:"),
+            "{}",
+            out.stats.render()
+        );
 
         // Everything the session ran is replayable: a resume in a fresh
         // engine re-executes nothing and reproduces the aggregate.
-        let resumed = Engine::new(2)
-            .run_journaled(&spec(), &JournalConfig::new(&dir).resuming())
-            .unwrap();
-        assert_eq!(resumed.executed, 0);
-        assert_eq!(resumed.replayed, total);
+        let resumed = journaled_run(
+            &Engine::new(2),
+            &spec(),
+            JournalConfig::new(&dir).resuming(),
+        )
+        .unwrap();
+        assert_eq!(counts(&resumed), (total, 0));
         assert_eq!(resumed.aggregate, out.aggregate);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -545,12 +606,8 @@ mod tests {
     #[test]
     fn unresumed_nonempty_journal_is_refused() {
         let dir = temp_dir("refuse");
-        Engine::new(1)
-            .run_journaled(&spec(), &JournalConfig::new(&dir))
-            .unwrap();
-        let err = Engine::new(1)
-            .run_journaled(&spec(), &JournalConfig::new(&dir))
-            .unwrap_err();
+        journaled_run(&Engine::new(1), &spec(), JournalConfig::new(&dir)).unwrap();
+        let err = journaled_run(&Engine::new(1), &spec(), JournalConfig::new(&dir)).unwrap_err();
         assert!(err.to_string().contains("--resume"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -558,12 +615,9 @@ mod tests {
     #[test]
     fn journal_is_pinned_to_its_spec() {
         let dir = temp_dir("pin");
-        Engine::new(1)
-            .run_journaled(&spec(), &JournalConfig::new(&dir))
-            .unwrap();
+        journaled_run(&Engine::new(1), &spec(), JournalConfig::new(&dir)).unwrap();
         let other = SweepSpec::fractions(GeneratorPreset::Small, vec![8], vec![0.2], 4, 12);
-        let err = Engine::new(1)
-            .run_journaled(&other, &JournalConfig::new(&dir).resuming())
+        let err = journaled_run(&Engine::new(1), &other, JournalConfig::new(&dir).resuming())
             .unwrap_err();
         assert!(err.to_string().contains("different sweep"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -572,9 +626,7 @@ mod tests {
     #[test]
     fn torn_journal_tail_resumes_cleanly() {
         let dir = temp_dir("torn");
-        Engine::new(1)
-            .run_journaled(&spec(), &JournalConfig::new(&dir))
-            .unwrap();
+        journaled_run(&Engine::new(1), &spec(), JournalConfig::new(&dir)).unwrap();
         // Tear the last bytes off the newest journal file, as a crash
         // mid-append would.
         let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
@@ -588,10 +640,14 @@ mod tests {
         std::fs::write(tail, &bytes[..bytes.len().saturating_sub(9)]).unwrap();
 
         let full = Engine::new(2).run(&spec()).unwrap();
-        let resumed = Engine::new(2)
-            .run_journaled(&spec(), &JournalConfig::new(&dir).resuming())
-            .unwrap();
-        assert!(resumed.executed >= 1, "the torn record must re-run");
+        let resumed = journaled_run(
+            &Engine::new(2),
+            &spec(),
+            JournalConfig::new(&dir).resuming(),
+        )
+        .unwrap();
+        let (_, executed) = counts(&resumed);
+        assert!(executed >= 1, "the torn record must re-run");
         assert_eq!(resumed.aggregate, full.aggregate);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -29,7 +29,9 @@
 //!   thread and N threads produce identical aggregates;
 //! * sweeps are **observable sessions** ([`session`]): [`Engine::submit`]
 //!   returns a [`SweepHandle`] with a typed [`SweepEvent`] stream, live
-//!   statistics, and cancellation — [`Engine::run`] is submit + wait;
+//!   statistics, and cancellation — [`Engine::run`] is submit + wait —
+//!   optionally write-ahead **journaled** ([`journal`]) so a killed sweep
+//!   resumes without re-running finished jobs;
 //! * the caches can persist to **disk** ([`disk`], via
 //!   [`EngineBuilder::with_cache_dir`]), so a second process running the
 //!   same spec replays every result instead of recomputing.
@@ -82,10 +84,10 @@ pub use cache::CacheCounters;
 pub use disk::{DiskCache, GcStats, ReadPin};
 pub use engine::{
     CostModel, Engine, EngineBuilder, EngineCaches, EngineError, EngineOutput, EngineStats,
-    InjectionOrder, DEFAULT_CACHE_CAPACITY, INPUT_CACHE_CAP,
+    DEFAULT_CACHE_CAPACITY, INPUT_CACHE_CAP,
 };
 pub use job::{Job, JobInput, JobMetrics, JobPayload, JobResult};
-pub use journal::{spec_hash, JournalConfig, JournalOutcome, SweepJournal};
+pub use journal::{spec_hash, JournalConfig, JournalStats, SweepJournal};
 pub use session::{SessionConfig, SweepCancelToken, SweepEvent, SweepHandle};
 pub use spec::{AnalysisSelection, CellInfo, CellShape, GeneratorPreset, SweepGrid, SweepSpec};
 
@@ -104,11 +106,6 @@ pub use hetrta_api::{
     Analysis, AnalysisContext, AnalysisInput, AnalysisOutcome, AnalysisParams, AnalysisRegistry,
     AnalysisRequest, ApiError, CondOutcome, HetOutcome, SimOutcome, SuspendOutcome,
 };
-
-/// Backwards-compatible name of [`hetrta_api::HetOutcome`].
-pub type HetSummary = hetrta_api::HetOutcome;
-/// Backwards-compatible name of [`hetrta_api::ExactOutcome`].
-pub type ExactSummary = hetrta_api::ExactOutcome;
 
 // The acceptance-test order of set sweeps is the serial path's.
 pub use hetrta_sched::acceptance::TestKind;

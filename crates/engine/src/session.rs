@@ -28,6 +28,7 @@ use std::time::{Duration, Instant};
 
 use crate::aggregate::AggregateUpdate;
 use crate::engine::{EngineError, EngineOutput, EngineStats};
+use crate::journal::JournalConfig;
 use crate::EngineCaches;
 
 /// One observation from a running sweep, in the order the orchestrator
@@ -84,7 +85,8 @@ pub enum SweepEvent {
     },
 }
 
-/// Observability knobs of one submitted sweep.
+/// Options of one submitted sweep: what it streams and whether it is
+/// journaled.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
     /// Emit [`SweepEvent::JobStarted`] / [`SweepEvent::JobFinished`] per
@@ -101,11 +103,14 @@ pub struct SessionConfig {
     pub keyframe_every: usize,
     /// Event-buffer bound; beyond it the oldest events are dropped.
     pub max_buffered_events: usize,
-    /// Write-ahead journal for crash-safe resume: every finished job is
+    /// Write-ahead journal for crash-safe resume. The session opens the
+    /// journal directory on submit and replays the jobs it already holds
+    /// (with [`JournalConfig::resume`]); every job it then executes is
     /// recorded (with periodic aggregate keyframes) before it enters the
     /// aggregator, so a killed process resumes from the journal instead
-    /// of re-running completed work. `None` = no journaling.
-    pub journal: Option<Arc<crate::journal::SweepJournal>>,
+    /// of re-running completed work. The final [`EngineStats::journal`]
+    /// reports what was replayed. `None` = no journaling.
+    pub journal: Option<JournalConfig>,
 }
 
 impl Default for SessionConfig {
@@ -228,6 +233,8 @@ impl EventQueue {
 }
 
 /// Live progress counters shared between the orchestrator and the handle.
+/// `done` counts every completed job, replayed ones included; `cached`
+/// and `skipped` count executed jobs only.
 #[derive(Debug, Default)]
 pub(crate) struct ProgressCounters {
     pub(crate) done: AtomicU64,
@@ -246,6 +253,32 @@ pub(crate) struct SessionShared {
     pub(crate) threads: usize,
     pub(crate) total_jobs: usize,
     pub(crate) started: Instant,
+}
+
+impl SessionShared {
+    /// A live [`EngineStats`] snapshot: per-worker vectors empty and no
+    /// journal counters (both arrive with the final statistics), every
+    /// other field current.
+    pub(crate) fn snapshot(&self) -> EngineStats {
+        let (caches, baseline) = (&self.caches, &self.baseline);
+        EngineStats {
+            threads: self.threads,
+            jobs: self.total_jobs,
+            per_worker_jobs: Vec::new(),
+            per_worker_steals: Vec::new(),
+            cached_jobs: self.progress.cached.load(Ordering::Relaxed),
+            skipped_jobs: self.progress.skipped.load(Ordering::Relaxed),
+            transform_cache: caches.transform_counters().since(baseline.transform),
+            derived_cache: caches.derived_counters().since(baseline.derived),
+            result_cache: caches.result_counters().since(baseline.results),
+            identity_cache: caches.identity_counters().since(baseline.identity),
+            input_cache: caches.input_counters().since(baseline.inputs),
+            disk_cache: caches.disk_counters().since(baseline.disk),
+            events_dropped: self.events.dropped(),
+            journal: None,
+            elapsed: self.started.elapsed(),
+        }
+    }
 }
 
 /// A handle on one submitted sweep: event stream, live statistics,
@@ -345,41 +378,13 @@ impl SweepHandle {
     }
 
     /// A live [`EngineStats`] snapshot. While the sweep runs the
-    /// per-worker vectors are empty (workers report on join); every other
-    /// field is current. The final, complete statistics are in the
-    /// [`EngineOutput`] returned by [`SweepHandle::wait`].
+    /// per-worker vectors are empty (workers report on join) and the
+    /// journal counters absent; every other field is current. The final,
+    /// complete statistics are in the [`EngineOutput`] returned by
+    /// [`SweepHandle::wait`].
     #[must_use]
     pub fn stats(&self) -> EngineStats {
-        let shared = &self.shared;
-        let progress = &shared.progress;
-        EngineStats {
-            threads: shared.threads,
-            jobs: shared.total_jobs,
-            per_worker_jobs: Vec::new(),
-            per_worker_steals: Vec::new(),
-            cached_jobs: progress.cached.load(Ordering::Relaxed),
-            skipped_jobs: progress.skipped.load(Ordering::Relaxed),
-            transform_cache: shared
-                .caches
-                .transform_counters()
-                .since(shared.baseline.transform),
-            derived_cache: shared
-                .caches
-                .derived_counters()
-                .since(shared.baseline.derived),
-            result_cache: shared
-                .caches
-                .result_counters()
-                .since(shared.baseline.results),
-            identity_cache: shared
-                .caches
-                .identity_counters()
-                .since(shared.baseline.identity),
-            input_cache: shared.caches.input_counters().since(shared.baseline.inputs),
-            disk_cache: shared.caches.disk_counters().since(shared.baseline.disk),
-            events_dropped: shared.events.dropped(),
-            elapsed: shared.started.elapsed(),
-        }
+        self.shared.snapshot()
     }
 
     /// Blocks until the sweep finishes and returns its result — exactly
@@ -419,7 +424,7 @@ impl Drop for SweepHandle {
     }
 }
 
-/// A cloneable cancel/progress view on one sweep, detached from its
+/// A cloneable cancel handle on one sweep, detached from its
 /// [`SweepHandle`] (which is `!Clone` because it owns the result and the
 /// orchestrator join handle). Obtained via [`SweepHandle::cancel_token`];
 /// holding a token does not keep the sweep alive.
@@ -438,19 +443,5 @@ impl SweepCancelToken {
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
         self.shared.cancel.load(Ordering::Relaxed)
-    }
-
-    /// Jobs completed so far out of the sweep's total.
-    #[must_use]
-    pub fn progress(&self) -> (usize, usize) {
-        let done = usize::try_from(self.shared.progress.done.load(Ordering::Relaxed))
-            .unwrap_or(usize::MAX);
-        (done, self.shared.total_jobs)
-    }
-
-    /// Events this session has discarded so far.
-    #[must_use]
-    pub fn events_dropped(&self) -> u64 {
-        self.shared.events.dropped()
     }
 }

@@ -109,7 +109,7 @@ fn unknown_keys_fail_helpfully_everywhere() {
 #[test]
 fn custom_analyses_flow_through_the_engine() {
     use hetrta_api::{Analysis, AnalysisContext, ApiError};
-    use hetrta_engine::{CellKind, Engine, GeneratorPreset, SweepSpec};
+    use hetrta_engine::{CellKind, EngineBuilder, GeneratorPreset, SweepSpec};
     use std::sync::Arc;
 
     /// Reports the critical-path length as a `hom`-tagged scalar.
@@ -137,7 +137,11 @@ fn custom_analyses_flow_through_the_engine() {
 
     let mut registry = AnalysisRegistry::builtin();
     registry.register(Arc::new(CriticalPath));
-    let engine = Engine::with_registry(1, registry);
+    let engine = EngineBuilder::new()
+        .threads(1)
+        .registry(registry)
+        .build()
+        .expect("no cache dir");
     let spec = SweepSpec::fractions(GeneratorPreset::Small, vec![2], vec![0.2], 4, 3)
         .with_analyses(AnalysisSelection::from_keys(["len"]));
     let out = engine.run(&spec).expect("custom analysis runs");

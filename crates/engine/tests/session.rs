@@ -427,7 +427,11 @@ fn panicking_analysis_closes_the_stream_and_reraises_the_payload() {
 
     let mut registry = hetrta_engine::AnalysisRegistry::builtin();
     registry.register(Arc::new(Exploding));
-    let engine = Engine::with_registry(1, registry);
+    let engine = hetrta_engine::EngineBuilder::new()
+        .threads(1)
+        .registry(registry)
+        .build()
+        .expect("no cache dir");
     let spec = SweepSpec::fractions(GeneratorPreset::Small, vec![2], vec![0.2], 2, 7)
         .with_analyses(AnalysisSelection::from_keys(["explode"]));
 
@@ -441,4 +445,56 @@ fn panicking_analysis_closes_the_stream_and_reraises_the_payload() {
         .copied()
         .expect("original payload survives");
     assert_eq!(message, "analysis exploded on purpose");
+}
+
+#[test]
+fn plain_journaled_and_subset_runs_leave_the_same_metrics() {
+    // All three run through the engine's one job loop, so each leaves a
+    // per-analysis latency histogram (one sample per computed analysis)
+    // and the pool counters on its engine's registry.
+    let spec = SweepSpec::fractions(GeneratorPreset::Small, vec![2], vec![0.1, 0.3], 4, 0x3E7)
+        .with_analyses(AnalysisSelection::from_keys(["het", "sim"]));
+    let total = spec.job_count();
+    let dir = std::env::temp_dir().join(format!("hetrta-metrics-parity-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let plain = Engine::new(2);
+    let out = plain.run(&spec).expect("plain run");
+    let computed = total as u64 - out.stats.skipped_jobs;
+
+    let journaled = Engine::new(2);
+    let config = SessionConfig {
+        journal: Some(hetrta_engine::JournalConfig::new(&dir)),
+        ..SessionConfig::quiet()
+    };
+    let journaled_out = journaled
+        .submit_with(&spec, config)
+        .expect("submit")
+        .wait()
+        .expect("journaled run");
+    assert_eq!(journaled_out.aggregate, out.aggregate);
+
+    let subset = Engine::new(2);
+    let all: Vec<usize> = (0..total).collect();
+    let ran = subset
+        .run_job_subset(&spec, &all, |_| {})
+        .expect("subset run");
+    assert_eq!(ran, total);
+
+    for (path, engine) in [
+        ("run", &plain),
+        ("journal", &journaled),
+        ("subset", &subset),
+    ] {
+        let snapshot = engine.metrics().snapshot();
+        for key in ["het", "sim"] {
+            let name = format!("analysis.{key}.latency_ns");
+            let histogram = snapshot
+                .histogram(&name)
+                .unwrap_or_else(|| panic!("{path}: no {name}"));
+            assert_eq!(histogram.count, computed, "{path}: {name}");
+        }
+        assert_eq!(snapshot.counter("pool.jobs"), Some(total as u64), "{path}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -562,14 +562,18 @@ fn pump_sweep(engine: &Arc<Engine>, pending: PendingSweep, config: &ServerConfig
         return;
     }
 
-    if let Some(dir) = &config.journal_dir {
-        pump_sweep_journaled(engine, &tenant, &spec, &conn, dir, finish);
-        return;
-    }
-
+    // Journal mode resumes from `<journal_dir>/<spec_hash:016x>`: a
+    // sweep the previous daemon process was SIGKILLed out of replays its
+    // journaled jobs and executes only the remainder, streaming exactly
+    // what plain mode streams.
+    let journal = config
+        .journal_dir
+        .as_ref()
+        .map(|dir| JournalConfig::new(dir.join(format!("{:016x}", spec_hash(&spec)))).resuming());
     let session = SessionConfig {
         job_events: false,
         partial_every,
+        journal,
         ..SessionConfig::quiet()
     };
     let handle = match engine.submit_with(&spec, session) {
@@ -610,6 +614,13 @@ fn pump_sweep(engine: &Arc<Engine>, pending: PendingSweep, config: &ServerConfig
             metrics
                 .counter(&format!("serve.tenant.{tenant}.completed"))
                 .incr();
+            if let Some(journal) = output.stats.journal {
+                let replayed = journal.replayed as u64;
+                metrics.counter("serve.journal.replayed").add(replayed);
+                metrics
+                    .counter("serve.journal.executed")
+                    .add(output.stats.jobs as u64 - replayed);
+            }
             finish(
                 &conn,
                 Reply::Done {
@@ -623,81 +634,6 @@ fn pump_sweep(engine: &Arc<Engine>, pending: PendingSweep, config: &ServerConfig
         Err(err) => {
             finish(
                 &conn,
-                Reply::Error {
-                    message: format!("sweep failed: {err}"),
-                },
-            );
-        }
-    }
-}
-
-/// Journal-mode pump: run the sweep write-ahead journaled under
-/// `<journal_dir>/<spec_hash:016x>` with resume always on — the daemon
-/// restart-recovery path. A sweep the previous daemon process was
-/// SIGKILLed out of replays its journaled jobs and executes only the
-/// remainder; the aggregate stays bitwise identical to an
-/// uninterrupted run. Executed jobs stream as `JobFinished` events.
-fn pump_sweep_journaled(
-    engine: &Arc<Engine>,
-    tenant: &str,
-    spec: &SweepSpec,
-    conn: &Arc<ConnShared>,
-    journal_dir: &std::path::Path,
-    finish: impl Fn(&ConnShared, Reply),
-) {
-    let metrics = Arc::clone(engine.metrics());
-    let cancel = Arc::new(AtomicBool::new(false));
-    // Journal mode cancels through the same polled flag dist mode uses
-    // (there is no session token on this path).
-    *conn.dist_cancel.lock().expect("dist cancel") = Some(Arc::clone(&cancel));
-    if conn.disconnected.load(Ordering::SeqCst) || conn.cancel_requested.load(Ordering::SeqCst) {
-        cancel.store(true, Ordering::SeqCst);
-    }
-
-    let cfg = JournalConfig::new(journal_dir.join(format!("{:016x}", spec_hash(spec)))).resuming();
-    let outcome = engine.run_journaled_with(spec, &cfg, Some(&cancel), |_, _, result| {
-        conn.send(Reply::Event(SweepEvent::JobFinished {
-            index: result.index,
-            cell: result.cell,
-            key: result.identity,
-            cache_hit: result.cache_hit,
-            wall_time: result.wall_time,
-        }));
-    });
-    match outcome {
-        Ok(out) => {
-            metrics
-                .counter(&format!("serve.tenant.{tenant}.completed"))
-                .incr();
-            metrics
-                .counter("serve.journal.replayed")
-                .add(out.replayed as u64);
-            metrics
-                .counter("serve.journal.executed")
-                .add(out.executed as u64);
-            finish(
-                conn,
-                Reply::Done {
-                    completed: out.total,
-                    cancelled: false,
-                    events_dropped: 0,
-                    aggregate: out.aggregate,
-                },
-            );
-        }
-        Err(EngineError::Cancelled) => {
-            finish(
-                conn,
-                Reply::Error {
-                    message: "sweep cancelled (journal keeps the finished jobs; \
-                              resubmitting resumes)"
-                        .into(),
-                },
-            );
-        }
-        Err(err) => {
-            finish(
-                conn,
                 Reply::Error {
                     message: format!("sweep failed: {err}"),
                 },
