@@ -2088,9 +2088,11 @@ fn render_cells_csv(cells: &[hetrta_engine::CellSummary], analyses: &AnalysisSel
     let opt = |v: Option<f64>| v.map_or(String::new(), |x| format!("{x:.6}"));
     let count = |v: Option<usize>| v.map_or(String::new(), |n| n.to_string());
     // `R_het` and the scenario, improvement and schedulability columns
-    // come from `het` only; `R_hom(τ)` from `het` or `hom`.
+    // come from `het` only; `R_hom(τ)` from `het` or `hom`; the solved
+    // count from `exact`.
     let het = analyses.contains("het");
     let hom = het || analyses.contains("hom");
+    let exact = analyses.contains("exact");
     match cells.first().map(|c| &c.kind) {
         Some(CellKind::Set(_)) => {
             let labels = TestKind::ALL.map(|t| t.label().to_owned()).join(",");
@@ -2170,7 +2172,7 @@ fn render_cells_csv(cells: &[hetrta_engine::CellSummary], analyses: &AnalysisSel
                     opt(hom.then_some(t.mean_r_hom)),
                     opt(t.mean_sim_makespan),
                     opt(t.mean_sim_transformed),
-                    t.exact_solved,
+                    count(exact.then_some(t.exact_solved)),
                     opt(t.mean_exact_makespan),
                     opt(accuracy.map(|a| a.mean_hom_increment)),
                     opt(accuracy.map(|a| a.mean_het_increment)),

@@ -50,7 +50,12 @@ fn column(rows: &[Vec<String>], name: &str) -> Vec<String> {
 fn unselected_bound_columns_are_empty_not_zero() {
     let rows = sweep_csv("sampled,anytime");
     assert_eq!(rows.len(), 3, "header + two cells: {rows:?}");
-    for name in ["mean_r_het", "mean_r_hom", "mean_sim_makespan"] {
+    for name in [
+        "mean_r_het",
+        "mean_r_hom",
+        "mean_sim_makespan",
+        "exact_solved",
+    ] {
         assert!(
             column(&rows, name).iter().all(String::is_empty),
             "{name} must stay empty without its analysis: {rows:?}"

@@ -4,8 +4,11 @@
 //! `remove_edge`/`add_edge` per rerouted edge) — same `v_sync` id, same
 //! adjacency order in every successor and predecessor segment, same
 //! derived quantities. The legacy reference below is a verbatim copy of
-//! the pre-refactor implementation, running on the `legacy-mutation`
-//! feature of `hetrta-dag`.
+//! the pre-refactor implementation; only its storage changed, to the
+//! editable `RefDag` shared with the other parity suites.
+
+#[path = "../../dag/tests/support/ref_dag.rs"]
+mod ref_dag;
 
 use hetrta_core::transform;
 use hetrta_dag::algo::Reachability;
@@ -15,6 +18,7 @@ use hetrta_gen::{generate_nfj, NfjParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use ref_dag::RefDag;
 
 /// The pre-refactor Algorithm 1: mutate a clone of the task graph.
 /// Returns `(G', v_sync, V_par)`.
@@ -27,7 +31,7 @@ fn legacy_transform(task: &HeteroDagTask) -> (Dag, NodeId, BitSet) {
     let pred = reach.ancestors(v_off).clone();
     let succ = reach.descendants(v_off).clone();
 
-    let mut g2 = dag.clone();
+    let mut g2 = RefDag::of(dag);
     let sync = g2.add_labeled_node("v_sync", Ticks::ZERO);
 
     let direct_pred: Vec<NodeId> = g2.predecessors(v_off).to_vec();
@@ -67,7 +71,7 @@ fn legacy_transform(task: &HeteroDagTask) -> (Dag, NodeId, BitSet) {
     par_nodes.difference_with(&succ);
     par_nodes.remove(v_off);
 
-    (g2, sync, par_nodes)
+    (g2.freeze(), sync, par_nodes)
 }
 
 fn assert_same_dag(new: &Dag, legacy: &Dag) {

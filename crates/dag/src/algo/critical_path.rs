@@ -196,6 +196,7 @@ impl CriticalPath {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DagBuilder;
 
     /// The DAG of Figure 1(a) of the paper. The figure gives only aggregate
     /// values (vol = 18, len = 8 via {v1, v3, v5}, R_hom = 13 for m = 2,
@@ -203,13 +204,13 @@ mod tests {
     /// 10); the WCETs below — C1=1, C2=4, C3=6, C4=2, C5=1, C_off=4 —
     /// reproduce all of them.
     fn figure1() -> (Dag, [NodeId; 6]) {
-        let mut dag = Dag::new();
-        let v1 = dag.add_labeled_node("v1", Ticks::new(1));
-        let v2 = dag.add_labeled_node("v2", Ticks::new(4));
-        let v3 = dag.add_labeled_node("v3", Ticks::new(6));
-        let v4 = dag.add_labeled_node("v4", Ticks::new(2));
-        let v5 = dag.add_labeled_node("v5", Ticks::new(1));
-        let voff = dag.add_labeled_node("v_off", Ticks::new(4));
+        let mut b = DagBuilder::new();
+        let v1 = b.node("v1", Ticks::new(1));
+        let v2 = b.node("v2", Ticks::new(4));
+        let v3 = b.node("v3", Ticks::new(6));
+        let v4 = b.node("v4", Ticks::new(2));
+        let v5 = b.node("v5", Ticks::new(1));
+        let voff = b.node("v_off", Ticks::new(4));
         for (f, t) in [
             (v1, v2),
             (v1, v3),
@@ -219,8 +220,9 @@ mod tests {
             (v3, v5),
             (voff, v5),
         ] {
-            dag.add_edge(f, t).unwrap();
+            b.edge(f, t).unwrap();
         }
+        let dag = b.freeze();
         (dag, [v1, v2, v3, v4, v5, voff])
     }
 
@@ -271,8 +273,9 @@ mod tests {
 
     #[test]
     fn single_node() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::new(7));
+        let mut b = DagBuilder::new();
+        let a = b.unlabeled_node(Ticks::new(7));
+        let dag = b.freeze();
         let cp = CriticalPath::of(&dag);
         assert_eq!(cp.length(), Ticks::new(7));
         assert_eq!(cp.path(), &[a]);
@@ -281,11 +284,12 @@ mod tests {
 
     #[test]
     fn disconnected_components_take_max() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::new(3));
-        let b = dag.add_node(Ticks::new(5));
-        let c = dag.add_node(Ticks::new(4));
-        dag.add_edge(a, c).unwrap(); // chain of 7 vs isolated 5
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::new(3));
+        let b = builder.unlabeled_node(Ticks::new(5));
+        let c = builder.unlabeled_node(Ticks::new(4));
+        builder.edge(a, c).unwrap(); // chain of 7 vs isolated 5
+        let dag = builder.freeze();
         let cp = CriticalPath::of(&dag);
         assert_eq!(cp.length(), Ticks::new(7));
         assert!(!cp.on_critical_path(b, &dag));
@@ -293,12 +297,13 @@ mod tests {
 
     #[test]
     fn zero_wcet_nodes_are_handled() {
-        let mut dag = Dag::new();
-        let src = dag.add_node(Ticks::ZERO);
-        let a = dag.add_node(Ticks::new(4));
-        let sink = dag.add_node(Ticks::ZERO);
-        dag.add_edge(src, a).unwrap();
-        dag.add_edge(a, sink).unwrap();
+        let mut b = DagBuilder::new();
+        let src = b.unlabeled_node(Ticks::ZERO);
+        let a = b.unlabeled_node(Ticks::new(4));
+        let sink = b.unlabeled_node(Ticks::ZERO);
+        b.edge(src, a).unwrap();
+        b.edge(a, sink).unwrap();
+        let dag = b.freeze();
         let cp = CriticalPath::of(&dag);
         assert_eq!(cp.length(), Ticks::new(4));
         assert!(cp.on_critical_path(src, &dag));
@@ -306,11 +311,12 @@ mod tests {
 
     #[test]
     fn try_of_rejects_cycles() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::ONE);
-        let b = dag.add_node(Ticks::ONE);
-        dag.add_edge(a, b).unwrap();
-        dag.add_edge(b, a).unwrap();
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::ONE);
+        let b = builder.unlabeled_node(Ticks::ONE);
+        builder.edge(a, b).unwrap();
+        builder.edge(b, a).unwrap();
+        let dag = builder.freeze();
         assert!(CriticalPath::try_of(&dag).is_err());
     }
 }

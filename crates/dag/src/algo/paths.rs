@@ -122,17 +122,18 @@ pub fn enumerate_paths(dag: &Dag, limit: usize) -> Result<PathEnumeration, DagEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Ticks;
+    use crate::{DagBuilder, Ticks};
 
     fn diamond() -> (Dag, [NodeId; 4]) {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::ONE);
-        let b = dag.add_node(Ticks::ONE);
-        let c = dag.add_node(Ticks::ONE);
-        let d = dag.add_node(Ticks::ONE);
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::ONE);
+        let b = builder.unlabeled_node(Ticks::ONE);
+        let c = builder.unlabeled_node(Ticks::ONE);
+        let d = builder.unlabeled_node(Ticks::ONE);
         for (f, t) in [(a, b), (a, c), (b, d), (c, d)] {
-            dag.add_edge(f, t).unwrap();
+            builder.edge(f, t).unwrap();
         }
+        let dag = builder.freeze();
         (dag, [a, b, c, d])
     }
 
@@ -184,14 +185,15 @@ mod tests {
     #[test]
     fn deep_chain_does_not_overflow_the_stack() {
         // A recursive DFS would need ~100k stack frames here.
-        let mut dag = Dag::new();
-        let mut prev = dag.add_node(Ticks::ONE);
+        let mut b = DagBuilder::new();
+        let mut prev = b.unlabeled_node(Ticks::ONE);
         let first = prev;
         for _ in 0..100_000 {
-            let v = dag.add_node(Ticks::ONE);
-            dag.add_edge(prev, v).unwrap();
+            let v = b.unlabeled_node(Ticks::ONE);
+            b.edge(prev, v).unwrap();
             prev = v;
         }
+        let dag = b.freeze();
         let result = enumerate_paths(&dag, 10).unwrap();
         assert_eq!(result.paths.len(), 1);
         assert!(!result.truncated);
@@ -202,26 +204,28 @@ mod tests {
     #[test]
     fn exponential_path_count_does_not_overflow() {
         // A ladder of k diamonds has 2^k paths; build k = 140 > 128 bits.
-        let mut dag = Dag::new();
-        let mut prev = dag.add_node(Ticks::ONE);
+        let mut b = DagBuilder::new();
+        let mut prev = b.unlabeled_node(Ticks::ONE);
         let first = prev;
         for _ in 0..140 {
-            let l = dag.add_node(Ticks::ONE);
-            let r = dag.add_node(Ticks::ONE);
-            let join = dag.add_node(Ticks::ONE);
-            dag.add_edge(prev, l).unwrap();
-            dag.add_edge(prev, r).unwrap();
-            dag.add_edge(l, join).unwrap();
-            dag.add_edge(r, join).unwrap();
+            let l = b.unlabeled_node(Ticks::ONE);
+            let r = b.unlabeled_node(Ticks::ONE);
+            let join = b.unlabeled_node(Ticks::ONE);
+            b.edge(prev, l).unwrap();
+            b.edge(prev, r).unwrap();
+            b.edge(l, join).unwrap();
+            b.edge(r, join).unwrap();
             prev = join;
         }
+        let dag = b.freeze();
         assert_eq!(count_paths(&dag, first, prev).unwrap(), u128::MAX);
     }
 
     #[test]
     fn isolated_node_is_its_own_path() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::ONE);
+        let mut b = DagBuilder::new();
+        let a = b.unlabeled_node(Ticks::ONE);
+        let dag = b.freeze();
         let result = enumerate_paths(&dag, 10).unwrap();
         assert_eq!(result.paths, vec![vec![a]]);
         assert!(!result.truncated);

@@ -183,16 +183,16 @@ pub fn node_reach_sets(dag: &Dag, v: NodeId) -> Result<(BitSet, BitSet), DagErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Ticks;
+    use crate::{DagBuilder, Ticks};
 
     /// Builds the DAG of Figure 3(a) of the paper (11 nodes + v_off).
     /// Node layout (indices):
     ///   v1=0, v2=1, v3=2, v7=3, v8=4, v9=5, v_off=6, v11=7, v12=8 …
     /// A simplified shape capturing the same pred/succ/parallel structure.
     fn fig3_like() -> (Dag, Vec<NodeId>) {
-        let mut dag = Dag::new();
+        let mut b = DagBuilder::new();
         let v: Vec<NodeId> = (0..8)
-            .map(|i| dag.add_labeled_node(format!("v{i}"), Ticks::ONE))
+            .map(|i| b.node(format!("v{i}"), Ticks::ONE))
             .collect();
         // v0 -> v1, v0 -> v3 ; v1 -> v4, v1 -> v2 ; v3 -> v4 is transitive-free
         for (f, t) in [
@@ -206,19 +206,21 @@ mod tests {
             (5, 6),
             (6, 7),
         ] {
-            dag.add_edge(v[f], v[t]).unwrap();
+            b.edge(v[f], v[t]).unwrap();
         }
+        let dag = b.freeze();
         (dag, v)
     }
 
     #[test]
     fn descendants_and_ancestors_chain() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::ONE);
-        let b = dag.add_node(Ticks::ONE);
-        let c = dag.add_node(Ticks::ONE);
-        dag.add_edge(a, b).unwrap();
-        dag.add_edge(b, c).unwrap();
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::ONE);
+        let b = builder.unlabeled_node(Ticks::ONE);
+        let c = builder.unlabeled_node(Ticks::ONE);
+        builder.edge(a, b).unwrap();
+        builder.edge(b, c).unwrap();
+        let dag = builder.freeze();
         let r = Reachability::of(&dag).unwrap();
         assert_eq!(r.descendants(a).len(), 2);
         assert_eq!(r.ancestors(c).len(), 2);
@@ -268,11 +270,12 @@ mod tests {
 
     #[test]
     fn cycle_is_an_error() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::ONE);
-        let b = dag.add_node(Ticks::ONE);
-        dag.add_edge(a, b).unwrap();
-        dag.add_edge(b, a).unwrap();
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::ONE);
+        let b = builder.unlabeled_node(Ticks::ONE);
+        builder.edge(a, b).unwrap();
+        builder.edge(b, a).unwrap();
+        let dag = builder.freeze();
         assert!(matches!(Reachability::of(&dag), Err(DagError::Cycle(_))));
     }
 
@@ -289,11 +292,12 @@ mod tests {
 
     #[test]
     fn node_reach_sets_cycle_is_an_error() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::ONE);
-        let b = dag.add_node(Ticks::ONE);
-        dag.add_edge(a, b).unwrap();
-        dag.add_edge(b, a).unwrap();
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::ONE);
+        let b = builder.unlabeled_node(Ticks::ONE);
+        builder.edge(a, b).unwrap();
+        builder.edge(b, a).unwrap();
+        let dag = builder.freeze();
         assert!(matches!(node_reach_sets(&dag, a), Err(DagError::Cycle(_))));
     }
 

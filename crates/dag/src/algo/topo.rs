@@ -86,7 +86,7 @@ pub fn is_acyclic(dag: &Dag) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Ticks;
+    use crate::{DagBuilder, Ticks};
 
     #[test]
     fn empty_graph_is_acyclic() {
@@ -97,25 +97,27 @@ mod tests {
 
     #[test]
     fn chain_order() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::ONE);
-        let b = dag.add_node(Ticks::ONE);
-        let c = dag.add_node(Ticks::ONE);
-        dag.add_edge(b, c).unwrap();
-        dag.add_edge(a, b).unwrap();
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::ONE);
+        let b = builder.unlabeled_node(Ticks::ONE);
+        let c = builder.unlabeled_node(Ticks::ONE);
+        builder.edge(b, c).unwrap();
+        builder.edge(a, b).unwrap();
+        let dag = builder.freeze();
         assert_eq!(topological_order(&dag).unwrap(), vec![a, b, c]);
     }
 
     #[test]
     fn diamond_respects_precedence() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::ONE);
-        let b = dag.add_node(Ticks::ONE);
-        let c = dag.add_node(Ticks::ONE);
-        let d = dag.add_node(Ticks::ONE);
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::ONE);
+        let b = builder.unlabeled_node(Ticks::ONE);
+        let c = builder.unlabeled_node(Ticks::ONE);
+        let d = builder.unlabeled_node(Ticks::ONE);
         for (f, t) in [(a, b), (a, c), (b, d), (c, d)] {
-            dag.add_edge(f, t).unwrap();
+            builder.edge(f, t).unwrap();
         }
+        let dag = builder.freeze();
         let order = topological_order(&dag).unwrap();
         let pos = |v: NodeId| order.iter().position(|&x| x == v).unwrap();
         assert!(pos(a) < pos(b) && pos(a) < pos(c));
@@ -124,11 +126,12 @@ mod tests {
 
     #[test]
     fn cycle_is_reported_with_witness() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::ONE);
-        let b = dag.add_node(Ticks::ONE);
-        dag.add_edge(a, b).unwrap();
-        dag.add_edge(b, a).unwrap();
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::ONE);
+        let b = builder.unlabeled_node(Ticks::ONE);
+        builder.edge(a, b).unwrap();
+        builder.edge(b, a).unwrap();
+        let dag = builder.freeze();
         match topological_order(&dag) {
             Err(DagError::Cycle(w)) => assert!(w == a || w == b),
             other => panic!("expected cycle, got {other:?}"),
@@ -138,11 +141,12 @@ mod tests {
 
     #[test]
     fn disconnected_components_are_ordered() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::ONE);
-        let b = dag.add_node(Ticks::ONE);
-        let c = dag.add_node(Ticks::ONE);
-        dag.add_edge(b, c).unwrap();
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::ONE);
+        let b = builder.unlabeled_node(Ticks::ONE);
+        let c = builder.unlabeled_node(Ticks::ONE);
+        builder.edge(b, c).unwrap();
+        let dag = builder.freeze();
         let order = topological_order(&dag).unwrap();
         assert_eq!(order.len(), 3);
         assert!(order.contains(&a));

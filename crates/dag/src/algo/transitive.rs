@@ -318,16 +318,17 @@ pub fn transitive_reduction_via_closure(dag: &Dag) -> Result<Dag, DagError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Ticks;
+    use crate::{DagBuilder, Ticks};
 
     fn chain_with_shortcut() -> (Dag, [NodeId; 3]) {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::ONE);
-        let b = dag.add_node(Ticks::ONE);
-        let c = dag.add_node(Ticks::ONE);
-        dag.add_edge(a, b).unwrap();
-        dag.add_edge(b, c).unwrap();
-        dag.add_edge(a, c).unwrap();
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::ONE);
+        let b = builder.unlabeled_node(Ticks::ONE);
+        let c = builder.unlabeled_node(Ticks::ONE);
+        builder.edge(a, b).unwrap();
+        builder.edge(b, c).unwrap();
+        builder.edge(a, c).unwrap();
+        let dag = builder.freeze();
         (dag, [a, b, c])
     }
 
@@ -340,25 +341,27 @@ mod tests {
 
     #[test]
     fn detects_long_range_transitive_edge() {
-        let mut dag = Dag::new();
-        let v: Vec<NodeId> = (0..4).map(|_| dag.add_node(Ticks::ONE)).collect();
-        dag.add_edge(v[0], v[1]).unwrap();
-        dag.add_edge(v[1], v[2]).unwrap();
-        dag.add_edge(v[2], v[3]).unwrap();
-        dag.add_edge(v[0], v[3]).unwrap(); // spans a 3-edge path
+        let mut b = DagBuilder::new();
+        let v: Vec<NodeId> = (0..4).map(|_| b.unlabeled_node(Ticks::ONE)).collect();
+        b.edge(v[0], v[1]).unwrap();
+        b.edge(v[1], v[2]).unwrap();
+        b.edge(v[2], v[3]).unwrap();
+        b.edge(v[0], v[3]).unwrap(); // spans a 3-edge path
+        let dag = b.freeze();
         assert_eq!(find_transitive_edge(&dag).unwrap(), Some((v[0], v[3])));
     }
 
     #[test]
     fn diamond_is_reduced() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::ONE);
-        let b = dag.add_node(Ticks::ONE);
-        let c = dag.add_node(Ticks::ONE);
-        let d = dag.add_node(Ticks::ONE);
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::ONE);
+        let b = builder.unlabeled_node(Ticks::ONE);
+        let c = builder.unlabeled_node(Ticks::ONE);
+        let d = builder.unlabeled_node(Ticks::ONE);
         for (f, t) in [(a, b), (a, c), (b, d), (c, d)] {
-            dag.add_edge(f, t).unwrap();
+            builder.edge(f, t).unwrap();
         }
+        let dag = builder.freeze();
         assert!(is_transitively_reduced(&dag).unwrap());
         assert_eq!(find_transitive_edge(&dag).unwrap(), None);
     }
@@ -386,11 +389,12 @@ mod tests {
 
     #[test]
     fn cycle_reported() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::ONE);
-        let b = dag.add_node(Ticks::ONE);
-        dag.add_edge(a, b).unwrap();
-        dag.add_edge(b, a).unwrap();
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::ONE);
+        let b = builder.unlabeled_node(Ticks::ONE);
+        builder.edge(a, b).unwrap();
+        builder.edge(b, a).unwrap();
+        let dag = builder.freeze();
         assert!(find_transitive_edge(&dag).is_err());
         assert!(transitive_reduction(&dag).is_err());
         assert!(find_transitive_edge_via_closure(&dag).is_err());
@@ -401,8 +405,8 @@ mod tests {
     /// has to traverse (successors on three distinct levels, long-range
     /// shortcuts spanning several of them).
     fn tangled() -> Dag {
-        let mut dag = Dag::new();
-        let v: Vec<NodeId> = (0..8).map(|_| dag.add_node(Ticks::ONE)).collect();
+        let mut b = DagBuilder::new();
+        let v: Vec<NodeId> = (0..8).map(|_| b.unlabeled_node(Ticks::ONE)).collect();
         for (f, t) in [
             (0, 1),
             (0, 2),
@@ -417,9 +421,9 @@ mod tests {
             (6, 7),
             (2, 7), // shortcut into the sink
         ] {
-            dag.add_edge(v[f], v[t]).unwrap();
+            b.edge(v[f], v[t]).unwrap();
         }
-        dag
+        b.freeze()
     }
 
     #[test]

@@ -143,43 +143,46 @@ fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Ticks;
+    use crate::{DagBuilder, Ticks};
 
     #[test]
     fn chain_has_width_one() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::ONE);
-        let b = dag.add_node(Ticks::ONE);
-        let c = dag.add_node(Ticks::ONE);
-        dag.add_edge(a, b).unwrap();
-        dag.add_edge(b, c).unwrap();
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::ONE);
+        let b = builder.unlabeled_node(Ticks::ONE);
+        let c = builder.unlabeled_node(Ticks::ONE);
+        builder.edge(a, b).unwrap();
+        builder.edge(b, c).unwrap();
+        let dag = builder.freeze();
         assert_eq!(width(&dag).unwrap(), 1);
         assert_eq!(max_antichain(&dag).unwrap().len(), 1);
     }
 
     #[test]
     fn independent_nodes_width_n() {
-        let mut dag = Dag::new();
+        let mut b = DagBuilder::new();
         for _ in 0..5 {
-            dag.add_node(Ticks::ONE);
+            b.unlabeled_node(Ticks::ONE);
         }
+        let dag = b.freeze();
         assert_eq!(width(&dag).unwrap(), 5);
         assert_eq!(max_antichain(&dag).unwrap().len(), 5);
     }
 
     #[test]
     fn fork_join_width_equals_branches() {
-        let mut dag = Dag::new();
-        let f = dag.add_node(Ticks::ONE);
-        let j = dag.add_node(Ticks::ONE);
+        let mut b = DagBuilder::new();
+        let f = b.unlabeled_node(Ticks::ONE);
+        let j = b.unlabeled_node(Ticks::ONE);
         let mids: Vec<NodeId> = (0..4)
             .map(|_| {
-                let v = dag.add_node(Ticks::ONE);
-                dag.add_edge(f, v).unwrap();
-                dag.add_edge(v, j).unwrap();
+                let v = b.unlabeled_node(Ticks::ONE);
+                b.edge(f, v).unwrap();
+                b.edge(v, j).unwrap();
                 v
             })
             .collect();
+        let dag = b.freeze();
         assert_eq!(width(&dag).unwrap(), 4);
         let anti = max_antichain(&dag).unwrap();
         assert_eq!(anti.len(), 4);
@@ -191,14 +194,14 @@ mod tests {
     #[test]
     fn nested_structure() {
         // f → {a → {x, y} → b, c} → j : width 3 ({x, y, c})
-        let mut dag = Dag::new();
-        let f = dag.add_node(Ticks::ONE);
-        let a = dag.add_node(Ticks::ONE);
-        let x = dag.add_node(Ticks::ONE);
-        let y = dag.add_node(Ticks::ONE);
-        let b = dag.add_node(Ticks::ONE);
-        let c = dag.add_node(Ticks::ONE);
-        let j = dag.add_node(Ticks::ONE);
+        let mut builder = DagBuilder::new();
+        let f = builder.unlabeled_node(Ticks::ONE);
+        let a = builder.unlabeled_node(Ticks::ONE);
+        let x = builder.unlabeled_node(Ticks::ONE);
+        let y = builder.unlabeled_node(Ticks::ONE);
+        let b = builder.unlabeled_node(Ticks::ONE);
+        let c = builder.unlabeled_node(Ticks::ONE);
+        let j = builder.unlabeled_node(Ticks::ONE);
         for (s, t) in [
             (f, a),
             (a, x),
@@ -209,8 +212,9 @@ mod tests {
             (f, c),
             (c, j),
         ] {
-            dag.add_edge(s, t).unwrap();
+            builder.edge(s, t).unwrap();
         }
+        let dag = builder.freeze();
         assert_eq!(width(&dag).unwrap(), 3);
         let anti = max_antichain(&dag).unwrap();
         assert_eq!(anti.len(), 3);
@@ -231,11 +235,12 @@ mod tests {
 
     #[test]
     fn cycle_reported() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::ONE);
-        let b = dag.add_node(Ticks::ONE);
-        dag.add_edge(a, b).unwrap();
-        dag.add_edge(b, a).unwrap();
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::ONE);
+        let b = builder.unlabeled_node(Ticks::ONE);
+        builder.edge(a, b).unwrap();
+        builder.edge(b, a).unwrap();
+        let dag = builder.freeze();
         assert!(width(&dag).is_err());
     }
 }

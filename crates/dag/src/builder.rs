@@ -274,6 +274,22 @@ mod tests {
     }
 
     #[test]
+    fn edge_rejects_unknown_nodes_self_loops_and_duplicates() {
+        let mut b = DagBuilder::new();
+        let a = b.node("a", Ticks::ONE);
+        let z = b.node("z", Ticks::ONE);
+        b.edge(a, z).unwrap();
+        let bogus = NodeId::from_index(99);
+        assert_eq!(b.edge(a, bogus).unwrap_err(), DagError::UnknownNode(bogus));
+        assert_eq!(b.edge(bogus, a).unwrap_err(), DagError::UnknownNode(bogus));
+        assert_eq!(b.edge(a, a).unwrap_err(), DagError::SelfLoop(a));
+        assert_eq!(b.edge(a, z).unwrap_err(), DagError::DuplicateEdge(a, z));
+        // A rejected edge leaves the accumulated graph untouched.
+        assert_eq!(b.edge_count(), 1);
+        assert!(b.has_edge(a, z) && !b.has_edge(z, a));
+    }
+
+    #[test]
     fn rejects_empty() {
         assert_eq!(DagBuilder::new().build().unwrap_err(), DagError::Empty);
     }

@@ -112,15 +112,16 @@ pub fn to_dot(dag: &Dag, options: &DotOptions) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Ticks;
+    use crate::{DagBuilder, Ticks};
 
     fn sample() -> (Dag, [NodeId; 3]) {
-        let mut dag = Dag::new();
-        let a = dag.add_labeled_node("start", Ticks::new(1));
-        let b = dag.add_node(Ticks::new(2));
-        let c = dag.add_labeled_node("end", Ticks::new(3));
-        dag.add_edge(a, b).unwrap();
-        dag.add_edge(b, c).unwrap();
+        let mut builder = DagBuilder::new();
+        let a = builder.node("start", Ticks::new(1));
+        let b = builder.unlabeled_node(Ticks::new(2));
+        let c = builder.node("end", Ticks::new(3));
+        builder.edge(a, b).unwrap();
+        builder.edge(b, c).unwrap();
+        let dag = builder.freeze();
         (dag, [a, b, c])
     }
 

@@ -18,8 +18,6 @@ pub enum DagError {
     SelfLoop(NodeId),
     /// The edge already exists; `E ⊆ V × V` is a set, not a multiset.
     DuplicateEdge(NodeId, NodeId),
-    /// The requested edge does not exist.
-    UnknownEdge(NodeId, NodeId),
     /// The graph contains a directed cycle (witness node on the cycle).
     Cycle(NodeId),
     /// The graph has no nodes at all.
@@ -50,7 +48,6 @@ impl fmt::Display for DagError {
             DagError::UnknownNode(v) => write!(f, "unknown node {v}"),
             DagError::SelfLoop(v) => write!(f, "self-loop on node {v}"),
             DagError::DuplicateEdge(a, b) => write!(f, "duplicate edge ({a}, {b})"),
-            DagError::UnknownEdge(a, b) => write!(f, "edge ({a}, {b}) does not exist"),
             DagError::Cycle(v) => write!(f, "graph contains a cycle through {v}"),
             DagError::Empty => write!(f, "graph has no nodes"),
             DagError::MultipleSources(vs) => {

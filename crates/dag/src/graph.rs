@@ -31,9 +31,13 @@ use crate::{BitSet, DagError, NodeId, Ticks};
 /// [`Dag::predecessors`] are slices into one allocation, and cloning a
 /// graph copies six flat vectors instead of `2·|V|` heap blocks. Because
 /// the structure never changes after freeze, nothing ever shifts inside
-/// the flat arrays: construction-side code that still needs incremental
-/// mutation (test fixtures, legacy-parity references) lives behind the
-/// `legacy-mutation` feature, off by default.
+/// the flat arrays. A graph is built only through a
+/// [`DagBuilder`](crate::DagBuilder) or one of the bulk constructors
+/// ([`Dag::from_parts`], [`Dag::from_csr_parts`]); there is no edge-level
+/// mutator. Test fixtures that need structurally invalid graphs (cycles,
+/// transitive edges) freeze them with
+/// [`DagBuilder::freeze`](crate::DagBuilder::freeze), which skips model
+/// validation.
 ///
 /// # Examples
 ///
@@ -51,7 +55,6 @@ use crate::{BitSet, DagError, NodeId, Ticks};
 /// # Ok::<(), hetrta_dag::DagError>(())
 /// ```
 #[derive(Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dag {
     wcets: Vec<Ticks>,
     labels: Vec<String>,
@@ -82,55 +85,6 @@ impl Dag {
     #[must_use]
     pub fn new() -> Self {
         Dag::default()
-    }
-
-    /// Creates an empty graph with room for `nodes` nodes.
-    ///
-    /// Part of the legacy incremental-construction API (see
-    /// [`Dag::add_edge`]); builder-first code never needs it.
-    #[cfg(any(test, feature = "legacy-mutation"))]
-    #[must_use]
-    pub fn with_capacity(nodes: usize) -> Self {
-        let mut succ_off = Vec::with_capacity(nodes + 1);
-        succ_off.push(0);
-        let mut pred_off = Vec::with_capacity(nodes + 1);
-        pred_off.push(0);
-        Dag {
-            wcets: Vec::with_capacity(nodes),
-            labels: Vec::with_capacity(nodes),
-            succ_off,
-            succs: Vec::new(),
-            pred_off,
-            preds: Vec::new(),
-        }
-    }
-
-    /// Adds an unlabeled node with the given WCET and returns its id.
-    ///
-    /// Part of the legacy incremental-construction API: production code
-    /// accumulates nodes in a [`DagBuilder`](crate::DagBuilder) instead.
-    /// Kept (behind the `legacy-mutation` feature) for test fixtures that
-    /// must assemble graphs the validating builder would reject — cyclic
-    /// graphs exercising error paths, parity references for the old
-    /// edge-by-edge construction.
-    #[cfg(any(test, feature = "legacy-mutation"))]
-    pub fn add_node(&mut self, wcet: Ticks) -> NodeId {
-        self.add_labeled_node(String::new(), wcet)
-    }
-
-    /// Adds a node with a human-readable label and returns its id.
-    ///
-    /// Legacy incremental-construction API; see [`Dag::add_node`].
-    #[cfg(any(test, feature = "legacy-mutation"))]
-    pub fn add_labeled_node(&mut self, label: impl Into<String>, wcet: Ticks) -> NodeId {
-        let id = NodeId::from_index(self.wcets.len());
-        self.wcets.push(wcet);
-        self.labels.push(label.into());
-        self.succ_off
-            .push(*self.succ_off.last().expect("offset base"));
-        self.pred_off
-            .push(*self.pred_off.last().expect("offset base"));
-        id
     }
 
     /// Number of nodes `|V|`.
@@ -211,111 +165,6 @@ impl Dag {
         self.check_node(id)?;
         self.labels[id.index()] = label.into();
         Ok(())
-    }
-
-    /// Adds the precedence edge `(from, to)`, shifting the CSR arrays —
-    /// `O(|V| + |E|)` per edge.
-    ///
-    /// Part of the legacy incremental-construction API, gated behind the
-    /// `legacy-mutation` feature (enabled by the workspace's test suites
-    /// only). Production code accumulates edges in a
-    /// [`DagBuilder`](crate::DagBuilder) and freezes once; this method
-    /// remains as (a) the reference semantics the builder's freeze is
-    /// parity-tested against, and (b) the only way to build structurally
-    /// *invalid* graphs (cycles, transitive edges) for error-path tests.
-    ///
-    /// Acyclicity is *not* checked here; use [`Dag::add_edge_acyclic`]
-    /// for untrusted input, or validate the finished graph with
-    /// [`validate_task_model`](crate::validate_task_model).
-    ///
-    /// # Errors
-    ///
-    /// - [`DagError::UnknownNode`] if either endpoint is out of range;
-    /// - [`DagError::SelfLoop`] if `from == to`;
-    /// - [`DagError::DuplicateEdge`] if the edge already exists.
-    #[cfg(any(test, feature = "legacy-mutation"))]
-    pub fn add_edge(&mut self, from: NodeId, to: NodeId) -> Result<(), DagError> {
-        self.check_node(from)?;
-        self.check_node(to)?;
-        if from == to {
-            return Err(DagError::SelfLoop(from));
-        }
-        if self.has_edge(from, to) {
-            return Err(DagError::DuplicateEdge(from, to));
-        }
-        // Append to the end of each endpoint's segment (preserving
-        // edge-insertion order within a node) and shift the offsets of
-        // every later node.
-        self.succs
-            .insert(self.succ_off[from.index() + 1] as usize, to);
-        for off in &mut self.succ_off[from.index() + 1..] {
-            *off += 1;
-        }
-        self.preds
-            .insert(self.pred_off[to.index() + 1] as usize, from);
-        for off in &mut self.pred_off[to.index() + 1..] {
-            *off += 1;
-        }
-        Ok(())
-    }
-
-    /// Adds `(from, to)` after checking that it would not create a cycle.
-    ///
-    /// Legacy incremental-construction API; see [`Dag::add_edge`].
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Dag::add_edge`] reports, plus [`DagError::Cycle`] if a
-    /// path `to → … → from` already exists.
-    #[cfg(any(test, feature = "legacy-mutation"))]
-    pub fn add_edge_acyclic(&mut self, from: NodeId, to: NodeId) -> Result<(), DagError> {
-        self.check_node(from)?;
-        self.check_node(to)?;
-        if self.reaches(to, from) {
-            return Err(DagError::Cycle(from));
-        }
-        self.add_edge(from, to)
-    }
-
-    /// Removes the edge `(from, to)`.
-    ///
-    /// Legacy incremental-construction API; see [`Dag::add_edge`]. The
-    /// Algorithm-1 rewiring that used to need it now assembles the
-    /// transformed graph in one [`Dag::from_csr_parts`] pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DagError::UnknownEdge`] if the edge does not exist and
-    /// [`DagError::UnknownNode`] if either endpoint is out of range.
-    #[cfg(any(test, feature = "legacy-mutation"))]
-    pub fn remove_edge(&mut self, from: NodeId, to: NodeId) -> Result<(), DagError> {
-        self.check_node(from)?;
-        self.check_node(to)?;
-        let spos = self
-            .successors(from)
-            .iter()
-            .position(|&v| v == to)
-            .map(|i| self.succ_off[from.index()] as usize + i);
-        match spos {
-            None => Err(DagError::UnknownEdge(from, to)),
-            Some(i) => {
-                self.succs.remove(i);
-                for off in &mut self.succ_off[from.index() + 1..] {
-                    *off -= 1;
-                }
-                let j = self
-                    .predecessors(to)
-                    .iter()
-                    .position(|&v| v == from)
-                    .map(|j| self.pred_off[to.index()] as usize + j)
-                    .expect("adjacency arrays out of sync");
-                self.preds.remove(j);
-                for off in &mut self.pred_off[to.index() + 1..] {
-                    *off -= 1;
-                }
-                Ok(())
-            }
-        }
     }
 
     /// `true` if the edge `(from, to)` exists.
@@ -504,9 +353,10 @@ impl Dag {
     /// self-loops, no duplicates — the caller guarantees it; violations
     /// are caught by `debug_assert` only).
     ///
-    /// Successor and predecessor segments come out in edge-list order,
-    /// exactly as the same sequence of legacy `add_edge` calls would
-    /// produce them — bulk constructors (the builder's freeze, induced
+    /// Successor and predecessor segments come out in edge-list order —
+    /// each edge lands at the end of both of its endpoints' segments, as
+    /// if the edges were inserted one by one. Bulk constructors (the
+    /// builder's freeze, induced
     /// subgraphs, the generators) must not change adjacency iteration
     /// order, because downstream float reductions replay adjacency order
     /// and are pinned bitwise.
@@ -676,18 +526,16 @@ impl Iterator for EdgeIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DagBuilder;
 
     fn diamond() -> (Dag, [NodeId; 4]) {
-        let mut dag = Dag::new();
-        let a = dag.add_labeled_node("a", Ticks::new(1));
-        let b = dag.add_labeled_node("b", Ticks::new(2));
-        let c = dag.add_labeled_node("c", Ticks::new(3));
-        let d = dag.add_labeled_node("d", Ticks::new(4));
-        dag.add_edge(a, b).unwrap();
-        dag.add_edge(a, c).unwrap();
-        dag.add_edge(b, d).unwrap();
-        dag.add_edge(c, d).unwrap();
-        (dag, [a, b, c, d])
+        let mut b = DagBuilder::new();
+        let a = b.node("a", Ticks::new(1));
+        let bn = b.node("b", Ticks::new(2));
+        let c = b.node("c", Ticks::new(3));
+        let d = b.node("d", Ticks::new(4));
+        b.edges([(a, bn), (a, c), (bn, d), (c, d)]).unwrap();
+        (b.freeze(), [a, bn, c, d])
     }
 
     #[test]
@@ -711,46 +559,14 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_edge_rejected() {
-        let (mut dag, [a, b, ..]) = diamond();
-        assert_eq!(dag.add_edge(a, b), Err(DagError::DuplicateEdge(a, b)));
-    }
-
-    #[test]
-    fn self_loop_rejected() {
-        let (mut dag, [a, ..]) = diamond();
-        assert_eq!(dag.add_edge(a, a), Err(DagError::SelfLoop(a)));
-    }
-
-    #[test]
     fn unknown_node_rejected() {
-        let (mut dag, [a, ..]) = diamond();
+        let (mut dag, _) = diamond();
         let bogus = NodeId::from_index(99);
-        assert_eq!(dag.add_edge(a, bogus), Err(DagError::UnknownNode(bogus)));
         assert_eq!(
             dag.set_wcet(bogus, Ticks::ZERO),
             Err(DagError::UnknownNode(bogus))
         );
-    }
-
-    #[test]
-    fn remove_edge_updates_both_lists() {
-        let (mut dag, [a, b, _, d]) = diamond();
-        dag.remove_edge(a, b).unwrap();
-        assert!(!dag.has_edge(a, b));
-        assert_eq!(dag.edge_count(), 3);
-        assert_eq!(dag.predecessors(b), &[] as &[NodeId]);
-        assert_eq!(dag.remove_edge(a, b), Err(DagError::UnknownEdge(a, b)));
-        assert_eq!(dag.predecessors(d).len(), 2);
-    }
-
-    #[test]
-    fn acyclic_guard_detects_cycles() {
-        let (mut dag, [a, _, _, d]) = diamond();
-        assert_eq!(dag.add_edge_acyclic(d, a), Err(DagError::Cycle(d)));
-        // A fresh forward edge is fine.
-        let e = dag.add_node(Ticks::new(1));
-        dag.add_edge_acyclic(d, e).unwrap();
+        assert_eq!(dag.set_label(bogus, "x"), Err(DagError::UnknownNode(bogus)));
     }
 
     #[test]
@@ -761,16 +577,15 @@ mod tests {
         assert_eq!(dag.source(), Some(a));
         assert_eq!(dag.sink(), Some(d));
 
-        let mut two_sources = Dag::new();
-        let x = two_sources.add_node(Ticks::ONE);
-        let y = two_sources.add_node(Ticks::ONE);
-        let z = two_sources.add_node(Ticks::ONE);
-        two_sources.add_edge(x, z).unwrap();
-        two_sources.add_edge(y, z).unwrap();
+        let mut b = DagBuilder::new();
+        let x = b.unlabeled_node(Ticks::ONE);
+        let y = b.unlabeled_node(Ticks::ONE);
+        let z = b.unlabeled_node(Ticks::ONE);
+        b.edges([(x, z), (y, z)]).unwrap();
+        let two_sources = b.freeze();
         assert_eq!(two_sources.source(), None);
         assert_eq!(two_sources.sources().len(), 2);
     }
-
     #[test]
     fn volume_sums_wcets() {
         let (dag, [_, b, c, _]) = diamond();

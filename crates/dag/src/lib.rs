@@ -6,10 +6,12 @@
 //!
 //! It contains:
 //!
-//! * [`Dag`] — a mutable directed-acyclic-graph of jobs, each carrying a
-//!   worst-case execution time ([`Ticks`]);
-//! * [`DagBuilder`] — a validating builder enforcing the paper's structural
-//!   model (acyclic, single source, single sink, no transitive edges);
+//! * [`Dag`] — a directed acyclic graph of jobs, each carrying a
+//!   worst-case execution time ([`Ticks`]), whose structure is frozen at
+//!   construction;
+//! * [`DagBuilder`] — the way to build a [`Dag`]: a validating builder
+//!   enforcing the paper's structural model (acyclic, single source,
+//!   single sink, no transitive edges);
 //! * [`task::DagTask`] and [`task::HeteroDagTask`] — the sporadic DAG task
 //!   `τ = <G, T, D>`, optionally with one node offloaded to an accelerator;
 //! * exact [`Rational`] arithmetic used by the response-time equations that

@@ -27,7 +27,6 @@ use crate::{Dag, DagError, NodeId, Rational, Ticks};
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DagTask {
     dag: Dag,
     period: Ticks,
@@ -134,7 +133,6 @@ impl DagTask {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HeteroDagTask {
     dag: Dag,
     offloaded: NodeId,

@@ -32,8 +32,6 @@ use crate::Rational;
 /// assert!(Ticks::ZERO.is_zero());
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct Ticks(u64);
 
 impl Ticks {

@@ -85,16 +85,17 @@ pub fn validate_task_model(dag: &Dag) -> Result<StructureReport, DagError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Ticks;
+    use crate::{DagBuilder, Ticks};
 
     #[test]
     fn valid_chain_reports_structure() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::new(1));
-        let b = dag.add_node(Ticks::ZERO);
-        let c = dag.add_node(Ticks::new(3));
-        dag.add_edge(a, b).unwrap();
-        dag.add_edge(b, c).unwrap();
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::new(1));
+        let b = builder.unlabeled_node(Ticks::ZERO);
+        let c = builder.unlabeled_node(Ticks::new(3));
+        builder.edge(a, b).unwrap();
+        builder.edge(b, c).unwrap();
+        let dag = builder.freeze();
         let r = validate_task_model(&dag).unwrap();
         assert_eq!(
             r,
@@ -118,22 +119,24 @@ mod tests {
 
     #[test]
     fn cycle_rejected_before_terminal_check() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::ONE);
-        let b = dag.add_node(Ticks::ONE);
-        dag.add_edge(a, b).unwrap();
-        dag.add_edge(b, a).unwrap();
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::ONE);
+        let b = builder.unlabeled_node(Ticks::ONE);
+        builder.edge(a, b).unwrap();
+        builder.edge(b, a).unwrap();
+        let dag = builder.freeze();
         assert!(matches!(validate_task_model(&dag), Err(DagError::Cycle(_))));
     }
 
     #[test]
     fn multi_sink_rejected() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::ONE);
-        let b = dag.add_node(Ticks::ONE);
-        let c = dag.add_node(Ticks::ONE);
-        dag.add_edge(a, b).unwrap();
-        dag.add_edge(a, c).unwrap();
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::ONE);
+        let b = builder.unlabeled_node(Ticks::ONE);
+        let c = builder.unlabeled_node(Ticks::ONE);
+        builder.edge(a, b).unwrap();
+        builder.edge(a, c).unwrap();
+        let dag = builder.freeze();
         assert!(
             matches!(validate_task_model(&dag), Err(DagError::MultipleSinks(v)) if v == vec![b, c])
         );
@@ -141,13 +144,14 @@ mod tests {
 
     #[test]
     fn transitive_edge_rejected() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::ONE);
-        let b = dag.add_node(Ticks::ONE);
-        let c = dag.add_node(Ticks::ONE);
-        dag.add_edge(a, b).unwrap();
-        dag.add_edge(b, c).unwrap();
-        dag.add_edge(a, c).unwrap();
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::ONE);
+        let b = builder.unlabeled_node(Ticks::ONE);
+        let c = builder.unlabeled_node(Ticks::ONE);
+        builder.edge(a, b).unwrap();
+        builder.edge(b, c).unwrap();
+        builder.edge(a, c).unwrap();
+        let dag = builder.freeze();
         assert_eq!(
             validate_task_model(&dag).unwrap_err(),
             DagError::TransitiveEdge(a, c)

@@ -1,11 +1,11 @@
-//! CSR-refactor parity tests: the flat compressed-sparse-row `Dag` must
-//! behave exactly like a naive nested-adjacency reference model under any
-//! construction/mutation sequence — adjacency, degrees, iteration order,
-//! topological validity, the reachability matrix, and the critical-path
-//! length all agree.
+//! CSR-refactor parity tests: the flat compressed-sparse-row `Dag` frozen
+//! by `DagBuilder` must behave exactly like a naive nested-adjacency
+//! reference model fed the same construction sequence — adjacency,
+//! degrees, iteration order, topological validity, the reachability
+//! matrix, and the critical-path length all agree.
 
 use hetrta_dag::algo::{topological_order, CriticalPath, Reachability};
-use hetrta_dag::{Dag, NodeId, Ticks};
+use hetrta_dag::{Dag, DagBuilder, NodeId, Ticks};
 use proptest::prelude::*;
 
 /// The pre-refactor representation: one `Vec` of successors/predecessors
@@ -29,19 +29,6 @@ impl RefGraph {
     fn add_edge(&mut self, from: NodeId, to: NodeId) {
         self.succs[from.index()].push(to);
         self.preds[to.index()].push(from);
-    }
-
-    fn remove_edge(&mut self, from: NodeId, to: NodeId) {
-        let i = self.succs[from.index()]
-            .iter()
-            .position(|&v| v == to)
-            .expect("edge exists");
-        self.succs[from.index()].remove(i);
-        let j = self.preds[to.index()]
-            .iter()
-            .position(|&v| v == from)
-            .expect("edge exists");
-        self.preds[to.index()].remove(j);
     }
 
     fn edges(&self) -> Vec<(NodeId, NodeId)> {
@@ -105,44 +92,33 @@ impl RefGraph {
 }
 
 /// Builds the CSR `Dag` and the reference model through the *same* random
-/// construction/mutation sequence: forward edges (acyclic by construction)
-/// followed by a random subset of removals.
+/// construction sequence of forward edges (acyclic by construction).
 fn arb_pair() -> impl Strategy<Value = (Dag, RefGraph)> {
     (
         1usize..24,
         proptest::collection::vec(0u8..100, 0..600),
-        proptest::collection::vec(0u8..100, 0..600),
         proptest::collection::vec(1u64..50, 1..24),
     )
-        .prop_map(|(n, edge_coins, removal_coins, wcets)| {
-            let mut dag = Dag::new();
+        .prop_map(|(n, edge_coins, wcets)| {
+            let mut b = DagBuilder::new();
             let mut reference = RefGraph::default();
             let ids: Vec<NodeId> = (0..n)
                 .map(|i| {
                     let w = wcets[i % wcets.len()];
                     reference.add_node(w);
-                    dag.add_node(Ticks::new(w))
+                    b.unlabeled_node(Ticks::new(w))
                 })
                 .collect();
             let mut coin = edge_coins.into_iter().cycle();
-            let mut added = Vec::new();
             for i in 0..n {
                 for j in (i + 1)..n {
                     if coin.next().unwrap_or(0) < 35 {
-                        dag.add_edge(ids[i], ids[j]).unwrap();
+                        b.edge(ids[i], ids[j]).unwrap();
                         reference.add_edge(ids[i], ids[j]);
-                        added.push((ids[i], ids[j]));
                     }
                 }
             }
-            let mut removal = removal_coins.into_iter().cycle();
-            for (f, t) in added {
-                if removal.next().unwrap_or(0) < 20 {
-                    dag.remove_edge(f, t).unwrap();
-                    reference.remove_edge(f, t);
-                }
-            }
-            (dag, reference)
+            (b.freeze(), reference)
         })
 }
 

@@ -3,8 +3,12 @@
 use hetrta_dag::algo::{
     count_paths, is_acyclic, topological_order, transitive, CriticalPath, Reachability,
 };
-use hetrta_dag::{BitSet, Dag, NodeId, Rational, Ticks};
+#[path = "support/ref_dag.rs"]
+mod ref_dag;
+
+use hetrta_dag::{BitSet, Dag, DagBuilder, NodeId, Rational, Ticks};
 use proptest::prelude::*;
+use ref_dag::RefDag;
 
 /// Strategy: a random DAG over `n ∈ [1, 24]` nodes where each forward pair
 /// `(i, j)`, `i < j`, is an edge with probability ~`density`. Forward-only
@@ -16,19 +20,19 @@ fn arb_dag() -> impl Strategy<Value = Dag> {
         proptest::collection::vec(1u64..50, 1..24),
     )
         .prop_map(|(n, edge_coins, wcets)| {
-            let mut dag = Dag::new();
+            let mut b = DagBuilder::new();
             let ids: Vec<NodeId> = (0..n)
-                .map(|i| dag.add_node(Ticks::new(wcets[i % wcets.len()])))
+                .map(|i| b.unlabeled_node(Ticks::new(wcets[i % wcets.len()])))
                 .collect();
             let mut coin = edge_coins.into_iter().cycle();
             for i in 0..n {
                 for j in (i + 1)..n {
                     if coin.next().unwrap_or(0) < 30 {
-                        dag.add_edge(ids[i], ids[j]).unwrap();
+                        b.edge(ids[i], ids[j]).unwrap();
                     }
                 }
             }
-            dag
+            b.freeze()
         })
 }
 
@@ -179,9 +183,13 @@ proptest! {
         let sinks = dag.sinks();
         let (src, sink) = (sources[0], sinks[sinks.len() - 1]);
         let full = count_paths(&dag, src, sink).unwrap();
-        let mut pruned = dag.clone();
-        if let Some((f, t)) = dag.edges().next() {
-            pruned.remove_edge(f, t).unwrap();
+        if dag.edge_count() > 0 {
+            let mut b = DagBuilder::new();
+            for v in dag.node_ids() {
+                b.unlabeled_node(dag.wcet(v));
+            }
+            b.edges(dag.edges().skip(1)).unwrap();
+            let pruned = b.freeze();
             let fewer = count_paths(&pruned, src, sink).unwrap();
             prop_assert!(fewer <= full);
         }
@@ -264,7 +272,7 @@ proptest! {
 
 mod io_roundtrip {
     use hetrta_dag::io::{parse_task, render_task, TaskKind};
-    use hetrta_dag::{Dag, HeteroDagTask, NodeId, Ticks};
+    use hetrta_dag::{Dag, DagBuilder, HeteroDagTask, NodeId, Ticks};
     use proptest::prelude::*;
 
     /// Random single-source/single-sink DAG without transitive edges: built
@@ -276,17 +284,17 @@ mod io_roundtrip {
             0usize..100,
         )
             .prop_map(|(width, wcets, off_pick)| {
-                let mut dag = Dag::new();
-                let src = dag.add_labeled_node("src", Ticks::new(wcets[0]));
-                let sink = dag.add_labeled_node("sink", Ticks::new(wcets[1 % wcets.len()]));
+                let mut b = DagBuilder::new();
+                let src = b.node("src", Ticks::new(wcets[0]));
+                let sink = b.node("sink", Ticks::new(wcets[1 % wcets.len()]));
                 let mut mids = Vec::new();
                 for i in 0..width {
-                    let v =
-                        dag.add_labeled_node(format!("mid{i}"), Ticks::new(wcets[i % wcets.len()]));
-                    dag.add_edge(src, v).unwrap();
-                    dag.add_edge(v, sink).unwrap();
+                    let v = b.node(format!("mid{i}"), Ticks::new(wcets[i % wcets.len()]));
+                    b.edge(src, v).unwrap();
+                    b.edge(v, sink).unwrap();
                     mids.push(v);
                 }
+                let dag = b.freeze();
                 let off = mids[off_pick % mids.len()];
                 let vol = dag.volume();
                 HeteroDagTask::new(dag, off, vol, vol).unwrap()
@@ -326,8 +334,9 @@ mod io_roundtrip {
 // ------------------------------------------------------------------------
 // Builder-first freeze parity: `DagBuilder::build`'s single-pass freeze
 // (including the mutation-free dummy-terminal normalization) must equal
-// the legacy path — incremental `add_edge` insertion on the frozen graph
-// plus post-freeze dummy mutation — bitwise, adjacency order included.
+// the legacy path — incremental `add_edge` insertion plus dummy
+// mutation on the editable `RefDag` reference — bitwise, adjacency order
+// included.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -354,7 +363,7 @@ proptest! {
         }
 
         // Builder-first path.
-        let mut b = hetrta_dag::DagBuilder::new();
+        let mut b = DagBuilder::new();
         for i in 0..n {
             b.node(format!("v{i}"), Ticks::new(wcets[i % wcets.len()]));
         }
@@ -362,9 +371,9 @@ proptest! {
         b.add_dummy_terminals();
         let built = b.build().unwrap();
 
-        // Legacy path: freeze the raw graph via incremental insertion,
-        // then mutate the dummy terminals on.
-        let mut legacy = Dag::new();
+        // Legacy path: the raw graph by incremental insertion, then the
+        // dummy terminals mutated on.
+        let mut legacy = RefDag::new();
         for i in 0..n {
             legacy.add_labeled_node(format!("v{i}"), Ticks::new(wcets[i % wcets.len()]));
         }
@@ -385,6 +394,7 @@ proptest! {
                 legacy.add_edge(s, sink).unwrap();
             }
         }
+        let legacy = legacy.freeze();
 
         prop_assert_eq!(built.node_count(), legacy.node_count());
         prop_assert_eq!(built.edge_count(), legacy.edge_count());

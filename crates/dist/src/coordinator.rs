@@ -23,7 +23,10 @@
 //! [`DistConfig::max_respawns`] times per slot), or — when respawning
 //! is impossible — to the least-loaded surviving worker. Re-dispatch is
 //! idempotent: a done-bitmask drops any duplicate result that raced the
-//! death, so each expansion slot is aggregated exactly once.
+//! death, so each expansion slot is aggregated exactly once. Every
+//! accepted connection is numbered, and a slot only listens to its live
+//! one: the hangup a killed process leaves behind never reads as its
+//! replacement's death.
 
 use std::collections::BTreeSet;
 use std::io::Write as _;
@@ -241,19 +244,36 @@ pub struct DistOutcome {
     pub bytes_rx: u64,
 }
 
-/// What reader/accept threads report to the control loop.
+/// What reader/accept threads report to the control loop. `conn`
+/// numbers the accepted connection an event came from, so events of a
+/// connection its slot has since dropped are recognisable.
 enum Event {
     /// A worker's connection is up (hello read); the stream is the
     /// write half the coordinator keeps.
-    Connected { worker: usize, writer: TcpStream },
+    Connected {
+        worker: usize,
+        conn: u64,
+        writer: TcpStream,
+    },
     /// One message from a connected worker.
-    Msg { worker: usize, msg: DistMsg },
+    Msg {
+        worker: usize,
+        conn: u64,
+        msg: DistMsg,
+    },
     /// A worker's connection died (hangup, defect, or I/O error).
-    Gone { worker: usize, reason: String },
+    Gone {
+        worker: usize,
+        conn: u64,
+        reason: String,
+    },
 }
 
 struct WorkerSlot {
     writer: Option<TcpStream>,
+    /// Number of the connection `writer` belongs to; `None` while the
+    /// slot has no live connection.
+    conn: Option<u64>,
     child: Option<Child>,
     /// Outstanding expansion indices this slot owes.
     assigned: BTreeSet<usize>,
@@ -339,6 +359,7 @@ pub fn run_distributed(
     let mut slots: Vec<WorkerSlot> = (0..config.workers)
         .map(|w| WorkerSlot {
             writer: None,
+            conn: None,
             child: None,
             assigned: shard_indices(total, w, config.workers)
                 .into_iter()
@@ -388,13 +409,18 @@ pub fn run_distributed(
             break;
         }
         match rx.recv_timeout(tick) {
-            Ok(Event::Connected { worker, writer }) => {
+            Ok(Event::Connected {
+                worker,
+                conn,
+                writer,
+            }) => {
                 let Some(slot) = slots.get_mut(worker) else {
                     continue; // unknown slot: drop the connection
                 };
                 slot.last_seen = Instant::now();
                 slot.connected_once = true;
                 slot.writer = Some(writer);
+                slot.conn = Some(conn);
                 let assign = DistMsg::Assign {
                     indices: slot.assigned.iter().copied().collect(),
                     spec: Box::new(spec.clone()),
@@ -413,9 +439,9 @@ pub fn run_distributed(
                     )?;
                 }
             }
-            Ok(Event::Msg { worker, msg }) => {
-                let Some(slot) = slots.get_mut(worker) else {
-                    continue;
+            Ok(Event::Msg { worker, conn, msg }) => {
+                let Some(slot) = slots.get_mut(worker).filter(|s| s.conn == Some(conn)) else {
+                    continue; // unknown slot, or a connection already declared dead
                 };
                 slot.last_seen = Instant::now();
                 if let DistMsg::JobDone(result) = msg {
@@ -462,7 +488,17 @@ pub fn run_distributed(
                 // Heartbeat/ShardDone only refresh last_seen (above);
                 // completion is tracked per job, not per shard.
             }
-            Ok(Event::Gone { worker, reason }) => {
+            Ok(Event::Gone {
+                worker,
+                conn,
+                reason,
+            }) => {
+                // A connection already declared dead (by heartbeat
+                // timeout or a failed send) hangs up once its process is
+                // killed; by then the slot has moved on to a replacement.
+                if slots.get(worker).is_none_or(|s| s.conn != Some(conn)) {
+                    continue;
+                }
                 handle_death(
                     spec,
                     config,
@@ -608,6 +644,7 @@ fn handle_death(
 ) -> Result<(), DistError> {
     let slot = &mut slots[worker];
     slot.writer = None;
+    slot.conn = None;
     if let Some(child) = &mut slot.child {
         let _ = child.kill();
         let _ = child.wait();
@@ -685,7 +722,7 @@ fn accept_loop(
     done: &Arc<AtomicBool>,
     fault: Option<Arc<FaultPlan>>,
 ) {
-    loop {
+    for conn in 0.. {
         let Ok((stream, _)) = listener.accept() else {
             return;
         };
@@ -695,7 +732,7 @@ fn accept_loop(
         let tx = tx.clone();
         let bytes_rx = Arc::clone(bytes_rx);
         let fault = fault.clone();
-        std::thread::spawn(move || reader_loop(stream, &tx, &bytes_rx, fault));
+        std::thread::spawn(move || reader_loop(stream, conn, &tx, &bytes_rx, fault));
     }
 }
 
@@ -703,6 +740,7 @@ fn accept_loop(
 /// control loop until the stream dies.
 fn reader_loop(
     stream: TcpStream,
+    conn: u64,
     tx: &Sender<Event>,
     bytes_rx: &Arc<AtomicU64>,
     fault: Option<Arc<FaultPlan>>,
@@ -719,6 +757,7 @@ fn reader_loop(
     if tx
         .send(Event::Connected {
             worker,
+            conn,
             writer: stream,
         })
         .is_err()
@@ -728,7 +767,7 @@ fn reader_loop(
     loop {
         match read_counted(&mut reader, bytes_rx, faults) {
             Ok(msg) => {
-                if tx.send(Event::Msg { worker, msg }).is_err() {
+                if tx.send(Event::Msg { worker, conn, msg }).is_err() {
                     return;
                 }
             }
@@ -737,7 +776,11 @@ fn reader_loop(
                     WireError::Eof => "connection closed".to_string(),
                     other => other.to_string(),
                 };
-                let _ = tx.send(Event::Gone { worker, reason });
+                let _ = tx.send(Event::Gone {
+                    worker,
+                    conn,
+                    reason,
+                });
                 return;
             }
         }

@@ -3,6 +3,10 @@
 //! partial aggregates converge on the final one, cancellation stops the
 //! sweep, and live statistics track progress.
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
 use hetrta_engine::{
     AnalysisSelection, Engine, EngineError, GeneratorPreset, SessionConfig, SweepEvent, SweepSpec,
 };
@@ -187,15 +191,59 @@ fn cancellable_spec() -> SweepSpec {
         .with_analyses(AnalysisSelection::from_keys(["sim", "exact"]))
 }
 
+/// An analysis that parks every run after its first until the test
+/// releases it, so a one-worker sweep can be cancelled with work left
+/// however fast its jobs run.
+#[derive(Debug, Default)]
+struct Gated {
+    runs: AtomicUsize,
+    released: AtomicBool,
+}
+
+impl hetrta_engine::Analysis for Gated {
+    fn key(&self) -> &str {
+        "gated"
+    }
+    fn describe(&self) -> &str {
+        "critical-path length, held at a gate after the first run"
+    }
+    fn run(
+        &self,
+        request: &hetrta_engine::AnalysisRequest,
+        _ctx: &dyn hetrta_engine::AnalysisContext,
+    ) -> Result<hetrta_engine::AnalysisOutcome, hetrta_engine::ApiError> {
+        if self.runs.fetch_add(1, Ordering::SeqCst) > 0 {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !self.released.load(Ordering::SeqCst) && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+        }
+        let task = request.input.as_task(self.key())?;
+        Ok(hetrta_engine::AnalysisOutcome::Hom {
+            r_hom: task.critical_path_length().as_f64(),
+        })
+    }
+}
+
 #[test]
 fn cancellation_returns_cancelled_and_stops_the_sweep() {
-    // Plenty of jobs on one worker; cancel after the first finishes.
-    let spec = cancellable_spec();
-    let engine = Engine::new(1);
+    // Plenty of jobs on one worker; cancel after the first finishes,
+    // while the gate holds the second.
+    let gate = Arc::new(Gated::default());
+    let mut registry = hetrta_engine::AnalysisRegistry::builtin();
+    registry.register(gate.clone());
+    let engine = hetrta_engine::EngineBuilder::new()
+        .threads(1)
+        .registry(registry)
+        .build()
+        .expect("no cache dir");
+    let spec = SweepSpec::fractions(GeneratorPreset::Small, vec![2], vec![0.2], 64, 3)
+        .with_analyses(AnalysisSelection::from_keys(["gated"]));
     let handle = engine.submit(&spec).expect("submit");
     while let Some(event) = handle.next_event() {
         if matches!(event, SweepEvent::JobFinished { .. }) {
             handle.cancel();
+            gate.released.store(true, Ordering::SeqCst);
             break;
         }
     }
@@ -405,8 +453,6 @@ fn panicking_analysis_closes_the_stream_and_reraises_the_payload() {
     // A worker panic must (a) close the event stream so a blocked
     // consumer terminates instead of hanging on the Condvar, and
     // (b) surface the *original* panic payload through wait().
-    use std::sync::Arc;
-
     #[derive(Debug)]
     struct Exploding;
     impl hetrta_engine::Analysis for Exploding {

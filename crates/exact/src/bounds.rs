@@ -103,6 +103,7 @@ pub fn water_filling_bound(core_free: &[u64], work: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetrta_dag::DagBuilder;
 
     #[test]
     fn water_filling_equal_cores() {
@@ -129,21 +130,23 @@ mod tests {
 
     #[test]
     fn workload_bound_excludes_offloaded() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::new(10));
-        let k = dag.add_node(Ticks::new(6));
-        dag.add_edge(a, k).unwrap();
+        let mut b = DagBuilder::new();
+        let a = b.unlabeled_node(Ticks::new(10));
+        let k = b.unlabeled_node(Ticks::new(6));
+        b.edge(a, k).unwrap();
+        let dag = b.freeze();
         assert_eq!(workload_bound(&dag, None, 2), Ticks::new(8));
         assert_eq!(workload_bound(&dag, Some(k), 2), Ticks::new(5));
     }
 
     #[test]
     fn root_bound_takes_max() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::new(2));
-        let b = dag.add_node(Ticks::new(2));
-        let c = dag.add_node(Ticks::new(20));
-        dag.add_edge(a, b).unwrap();
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::new(2));
+        let b = builder.unlabeled_node(Ticks::new(2));
+        let c = builder.unlabeled_node(Ticks::new(20));
+        builder.edge(a, b).unwrap();
+        let dag = builder.freeze();
         let _ = c;
         // len = 20 (isolated c), workload = ceil(24/4) = 6
         assert_eq!(root_bound(&dag, None, 4), Ticks::new(20));

@@ -647,10 +647,11 @@ mod tests {
     fn empty_and_oversized_graphs() {
         let sol = solve(&Dag::new(), None, 2, &SolverConfig::default()).unwrap();
         assert_eq!(sol.makespan(), Ticks::ZERO);
-        let mut big = Dag::new();
+        let mut b = DagBuilder::new();
         for _ in 0..129 {
-            big.add_node(Ticks::ONE);
+            b.unlabeled_node(Ticks::ONE);
         }
+        let big = b.freeze();
         assert!(solve(&big, None, 2, &SolverConfig::default()).is_err());
     }
 

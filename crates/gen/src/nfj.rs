@@ -30,7 +30,6 @@ use crate::GenError;
 /// assert_eq!(p.n_min(), 250);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NfjParams {
     p_par: f64,
     n_par: usize,

@@ -6,10 +6,13 @@
 //! of the contract, not an implementation detail).
 //!
 //! The reference implementations below are verbatim copies of the
-//! pre-refactor generators, kept alive through the `legacy-mutation`
-//! feature of `hetrta-dag` (incremental `Dag::add_node`/`add_edge`, the
-//! clone-and-`remove_edge` transitive reduction, and mutation-based dummy
-//! terminal normalization).
+//! pre-refactor generators (incremental `add_labeled_node`/`add_edge`,
+//! the clone-and-`remove_edge` transitive reduction, and mutation-based
+//! dummy terminal normalization). Only their storage changed: they edit
+//! the `RefDag` shared with the other parity suites and freeze it once.
+
+#[path = "../../dag/tests/support/ref_dag.rs"]
+mod ref_dag;
 
 use hetrta_dag::algo::Reachability;
 use hetrta_dag::{Dag, NodeId, Ticks};
@@ -19,6 +22,7 @@ use hetrta_gen::{generate_nfj, NfjParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ref_dag::RefDag;
 
 /// Asserts complete structural identity, adjacency order included.
 fn assert_same_dag(new: &Dag, legacy: &Dag, what: &str) {
@@ -42,8 +46,8 @@ fn assert_same_dag(new: &Dag, legacy: &Dag, what: &str) {
 
 /// The pre-refactor transitive reduction: clone, then `remove_edge` every
 /// redundant edge.
-fn legacy_transitive_reduction(dag: &Dag) -> Dag {
-    let reach = Reachability::of(dag).expect("acyclic");
+fn legacy_transitive_reduction(dag: &RefDag) -> RefDag {
+    let reach = Reachability::of(&dag.freeze()).expect("acyclic");
     let mut reduced = dag.clone();
     let edges: Vec<(NodeId, NodeId)> = dag.edges().collect();
     for (u, w) in edges {
@@ -60,7 +64,7 @@ fn legacy_transitive_reduction(dag: &Dag) -> Dag {
 
 /// The pre-refactor dummy-terminal normalization: freeze first, then
 /// mutate the frozen graph.
-fn legacy_add_dummy_terminals(dag: &mut Dag) {
+fn legacy_add_dummy_terminals(dag: &mut RefDag) {
     let sources = dag.sources();
     if sources.len() > 1 {
         let src = dag.add_labeled_node("src", Ticks::ZERO);
@@ -79,9 +83,9 @@ fn legacy_add_dummy_terminals(dag: &mut Dag) {
 
 // ---------------------------------------------------------------- NFJ --
 
-/// Verbatim copy of the pre-refactor NFJ sampler (mutating a `Dag`).
+/// Verbatim copy of the pre-refactor NFJ sampler (mutating a graph).
 fn legacy_nfj_expand<R: Rng + ?Sized>(
-    dag: &mut Dag,
+    dag: &mut RefDag,
     depth: usize,
     params: &NfjParams,
     rng: &mut R,
@@ -111,11 +115,11 @@ fn legacy_generate_nfj<R: Rng + ?Sized>(
     c_range: (u64, u64),
 ) -> Option<Dag> {
     for _ in 0..1_000 {
-        let mut dag = Dag::new();
+        let mut dag = RefDag::new();
         legacy_nfj_expand(&mut dag, 0, params, rng, c_range);
         let n = dag.node_count();
         if n >= params.n_min() && n <= params.n_max() {
-            return Some(dag);
+            return Some(dag.freeze());
         }
     }
     None
@@ -152,7 +156,7 @@ proptest! {
 
 /// Verbatim copy of the pre-refactor layered generator.
 fn legacy_generate_layered<R: Rng + ?Sized>(params: &LayeredParams, rng: &mut R) -> Dag {
-    let mut dag = Dag::new();
+    let mut dag = RefDag::new();
     let mut layers: Vec<Vec<NodeId>> = Vec::with_capacity(params.layers);
     for l in 0..params.layers {
         let width = rng.gen_range(params.width_min..=params.width_max);
@@ -181,7 +185,7 @@ fn legacy_generate_layered<R: Rng + ?Sized>(params: &LayeredParams, rng: &mut R)
     let reduced = legacy_transitive_reduction(&dag);
     // Pre-refactor normalization: re-encode through incremental mutation,
     // then mutate dummy terminals onto the frozen graph.
-    let mut norm = Dag::new();
+    let mut norm = RefDag::new();
     for v in reduced.node_ids() {
         norm.add_labeled_node(reduced.label(v).to_owned(), reduced.wcet(v));
     }
@@ -189,7 +193,7 @@ fn legacy_generate_layered<R: Rng + ?Sized>(params: &LayeredParams, rng: &mut R)
         norm.add_edge(f, t).expect("reduced edges are valid");
     }
     legacy_add_dummy_terminals(&mut norm);
-    norm
+    norm.freeze()
 }
 
 proptest! {
@@ -220,9 +224,9 @@ proptest! {
 
 // ------------------------------------------------------------- OpenMP --
 
-/// Verbatim copy of the pre-refactor OpenMP lowering (mutating a `Dag`).
+/// Verbatim copy of the pre-refactor OpenMP lowering (mutating a graph).
 struct LegacyLowering {
-    dag: Dag,
+    dag: RefDag,
     offloaded: Option<NodeId>,
     sync_counter: usize,
 }
@@ -279,14 +283,14 @@ impl LegacyLowering {
 
 fn legacy_lower(program: &Program) -> (Dag, Option<NodeId>) {
     let mut lowering = LegacyLowering {
-        dag: Dag::new(),
+        dag: RefDag::new(),
         offloaded: None,
         sync_counter: 0,
     };
     let source = lowering.dag.add_labeled_node("entry", Ticks::ZERO);
     lowering.region(program, source);
     (
-        legacy_transitive_reduction(&lowering.dag),
+        legacy_transitive_reduction(&lowering.dag).freeze(),
         lowering.offloaded,
     )
 }

@@ -21,7 +21,6 @@ use crate::SchedError;
 
 /// The schedulability tests an acceptance sweep compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TestKind {
     /// Global FP (DM priorities), homogeneous model.
     GfpHomogeneous,

@@ -41,7 +41,6 @@ use crate::SchedError;
 
 /// How many interfering tasks are charged carry-in workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CarryIn {
     /// Every interfering task gets the carry-in bound (most pessimistic;
     /// kept for comparison and ablation).

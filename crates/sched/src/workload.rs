@@ -26,7 +26,6 @@ use hetrta_dag::{Rational, Ticks};
 
 /// Timing summary of one interfering task, as seen by the host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InterferingTask {
     /// Workload one job executes **on the host** (`vol(G)` if nothing is
     /// offloaded, `vol(G) − C_off` otherwise).

@@ -15,7 +15,6 @@ use crate::{ReadyQueue, SimError};
 /// multi-device platforms support the paper's future-work direction
 /// "(ii) more devices in the heterogeneous architecture".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Platform {
     cores: usize,
     accelerators: usize,
@@ -71,7 +70,6 @@ impl Platform {
 
 /// Where a node executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Resource {
     /// A host core (0-based index).
     HostCore(usize),
@@ -85,7 +83,6 @@ pub enum Resource {
 
 /// One executed node: `[start, finish)` on a resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Interval {
     /// The node that executed.
     pub node: NodeId,
@@ -720,11 +717,12 @@ mod tests {
 
     #[test]
     fn cycle_stalls_cleanly() {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::ONE);
-        let b = dag.add_node(Ticks::ONE);
-        dag.add_edge(a, b).unwrap();
-        dag.add_edge(b, a).unwrap();
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::ONE);
+        let b = builder.unlabeled_node(Ticks::ONE);
+        builder.edge(a, b).unwrap();
+        builder.edge(b, a).unwrap();
+        let dag = builder.freeze();
         assert!(matches!(
             simulate(&dag, None, Platform::host_only(1), &mut BreadthFirst::new()),
             Err(SimError::Stalled { unfinished: 2 })

@@ -6,7 +6,6 @@ use crate::{Resource, SimResult};
 
 /// Aggregate metrics of one simulated schedule.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScheduleMetrics {
     /// Total schedule length.
     pub makespan: Ticks,

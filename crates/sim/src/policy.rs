@@ -172,16 +172,16 @@ impl Policy for RandomTieBreak {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetrta_dag::Ticks;
+    use hetrta_dag::{DagBuilder, Ticks};
 
     fn ctx_dag() -> Dag {
-        let mut dag = Dag::new();
-        let a = dag.add_node(Ticks::new(5));
-        let b = dag.add_node(Ticks::new(1));
-        let c = dag.add_node(Ticks::new(9));
-        dag.add_edge(a, b).unwrap();
-        dag.add_edge(a, c).unwrap();
-        dag
+        let mut builder = DagBuilder::new();
+        let a = builder.unlabeled_node(Ticks::new(5));
+        let b = builder.unlabeled_node(Ticks::new(1));
+        let c = builder.unlabeled_node(Ticks::new(9));
+        builder.edge(a, b).unwrap();
+        builder.edge(a, c).unwrap();
+        builder.freeze()
     }
 
     #[test]

@@ -68,7 +68,6 @@ use crate::{Platform, SimError};
 
 /// Which global scheduling discipline orders competing jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Discipline {
     /// Global fixed-priority: the position of a task in the input slice is
     /// its priority (index 0 = highest). Use
@@ -80,7 +79,6 @@ pub enum Discipline {
 
 /// Whether host nodes may be preempted by higher-priority jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Preemption {
     /// A higher-priority ready node preempts the lowest-priority running
     /// host node (zero cost; the classical global scheduling model that
@@ -152,7 +150,6 @@ impl SporadicConfig {
 
 /// The outcome of one job (one release of one task).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct JobOutcome {
     /// Index of the task in the input slice.
     pub task: usize,
@@ -266,7 +263,6 @@ impl SporadicSimResult {
 
 /// Which resource class an execution segment ran on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SegmentResource {
     /// One of the `m` host cores.
     Host,
@@ -277,7 +273,6 @@ pub enum SegmentResource {
 /// One contiguous execution segment of a node (preemption splits a node
 /// into several segments).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExecSegment {
     /// Index of the task in the input slice.
     pub task: usize,

@@ -116,7 +116,6 @@ impl PhaseDecomposition {
 /// the *dynamic* self-suspending model: the suspension may occur anywhere
 /// within the job, with total length at most `S`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlatSuspendingTask {
     /// Host execution before the suspension may end (`vol(pred) + vol(par)`).
     pub c1: Ticks,
